@@ -183,6 +183,9 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             break
         except SimulationError as exc:
             log.warning("cell %d rep %d attempt %d: %s", cell_index, rep, attempt, exc)
+    if data is not None:  # the bound depends on the design and b, not on tau
+        first = decompose_regressions(data, spec.d)[0]
+        lip = gradient_lipschitz_bound(first, RobustConfig(tau=1.0, b=spec.b))
     rows = []
     for tau in spec.tau_grid:
         robust = RobustConfig(tau=tau, b=spec.b)
@@ -191,13 +194,6 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             lam = theory_lambda(spec.p, spec.d, n_reg, robust, spec.c)
         else:
             lam = spec.lam
-        if data is not None:
-            lip = gradient_lipschitz_bound(decompose_regressions(data, spec.d)[0], robust)
-            if spec.step > 1.0 / lip:
-                log.info(
-                    "cell %d rep %d tau %g: step %.3g exceeds curvature bound 1/L = %.3g",
-                    cell_index, rep, tau, spec.step, 1.0 / lip,
-                )
         row = {
             "case": spec.case, "p": spec.p, "n": n, "d": spec.d, "df": df,
             "tau": tau, "lambda": lam, "rep": rep, "seed": rep_seed,
@@ -206,6 +202,11 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             row.update(error=math.nan, iterations=0, converged=False)
             rows.append(row)
             continue
+        if spec.step > 1.0 / lip:
+            log.info(
+                "cell %d rep %d tau %g: step %.3g exceeds curvature bound 1/L = %.3g",
+                cell_index, rep, tau, spec.step, 1.0 / lip,
+            )
         fit = FitConfig(
             robust=robust,
             penalty=Penalty("l1"),

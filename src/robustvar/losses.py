@@ -24,6 +24,7 @@ __all__ = [
     "mallows_weights",
     "robust_objective",
     "robust_gradient",
+    "robust_gradient_columns",
 ]
 
 
@@ -124,23 +125,7 @@ def huber_derivative(u, tau: float):
 
 def mallows_weight(x: np.ndarray, cfg: RobustConfig) -> float:
     """Weight in (0, 1] for one predictor row; 1 when the shrunk norm is zero."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("mallows_weight requires finite input")
-    if cfg.shrinkage is not None:
-        if cfg.shrinkage.shape[1] != x.shape[0]:
-            raise ValueError(
-                f"shrinkage is {cfg.shrinkage.shape[0]}x{cfg.shrinkage.shape[1]} "
-                f"but x has length {x.shape[0]}"
-            )
-        nrm = float(np.linalg.norm(cfg.shrinkage @ x))
-    else:
-        nrm = float(np.linalg.norm(x))
-    if nrm == 0.0:
-        return 1.0
-    if cfg.weight_form == "linear":
-        return min(1.0, cfg.b / nrm)
-    return min(1.0, cfg.b * cfg.b / (nrm * nrm))
+    return float(mallows_weights(np.asarray(x, dtype=np.float64)[None, :], cfg)[0])
 
 
 def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:
@@ -151,6 +136,8 @@ def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:
     them once and reuse the array.
     """
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("mallows_weights requires finite input")
     if cfg.shrinkage is not None:
         if cfg.shrinkage.shape[1] != x.shape[1]:
             raise ValueError("shrinkage dimension does not match predictor columns")
@@ -194,15 +181,21 @@ def robust_gradient(
 ) -> np.ndarray:
     """Gradient of ``robust_objective`` at ``beta``.
 
-    Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i.  Per-coordinate
-    accumulation runs in extended precision over a fixed index order.
+    Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i, the one-column case
+    of :func:`robust_gradient_columns`, which the solver also uses.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (reg.q,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
     w = mallows_weights(reg.x, cfg) if weights is None else weights
-    r = reg.y - reg.x @ beta
-    lp = np.clip(w * r, -cfg.tau, cfg.tau)
-    contrib = (lp * w * w)[:, None] * reg.x
-    acc = np.add.reduce(contrib, axis=0, dtype=np.longdouble)
-    return -(acc / reg.n).astype(np.float64)
+    return robust_gradient_columns(reg.x, reg.y[:, None], beta[:, None], w, cfg.tau)[:, 0]
+
+
+def robust_gradient_columns(
+    x: np.ndarray, y: np.ndarray, beta: np.ndarray, w: np.ndarray, tau: float
+) -> np.ndarray:
+    """Gradients (q, k) at ``beta`` (q, k) of the k regressions of ``y`` (n, k) on the
+    shared design ``x`` (n, q) with weights ``w``; inputs are not validated."""
+    wc = w[:, None]
+    lp = np.clip(wc * (y - x @ beta), -tau, tau)
+    return -(x.T @ (lp * (wc * wc))) / x.shape[0]

@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeds import column_seed
 from .losses import Regression, RobustConfig, mallows_weights, robust_objective
+from .losses import robust_gradient_columns
 from .penalties import Penalty, penalty_value, prox
 
 __all__ = [
@@ -16,15 +18,18 @@ __all__ = [
     "init_beta",
     "gradient_lipschitz_bound",
     "proximal_gradient_fit",
+    "proximal_gradient_fit_columns",
 ]
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate becomes non-finite (step size too large)."""
+    """Raised when column ``column`` of a fit gets a non-finite iterate (step too large)."""
 
-    def __init__(self, iteration: int):
-        self.iteration = iteration
-        super().__init__(f"non-finite iterate at iteration {iteration}; reduce the step size")
+    def __init__(self, iteration: int, column: int = 0):
+        self.iteration, self.column = iteration, column
+        super().__init__(
+            f"column {column}: non-finite iterate at iteration {iteration}; reduce the step size"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,12 @@ def init_beta(q: int, seed: int) -> np.ndarray:
 def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
     """Largest eigenvalue of (1/n) sum_i w_i^3 x_i x_i', a bound on the
     curvature of the robust loss."""
-    w = mallows_weights(reg.x, cfg)
-    xw = reg.x * (w ** 1.5)[:, None]
-    gram = (xw.T @ xw) / reg.n
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return _lipschitz_bound(reg.x, mallows_weights(reg.x, cfg))
+
+
+def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
+    xw = x * (w ** 1.5)[:, None]
+    return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
 
 
 def proximal_gradient_fit(
@@ -91,45 +98,48 @@ def proximal_gradient_fit(
     lam: float,
     opt: OptimizerConfig,
 ) -> FitResult:
-    """Minimize robust loss + lam * penalty by proximal gradient descent.
+    """Minimize robust loss + lam * penalty for one regression: the one-column
+    case of :func:`proximal_gradient_fit_columns`, started from the seed ``opt.seed``."""
+    return proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
 
-    Each iteration applies the penalty's proximal operator (threshold
-    lam*step) to a gradient step, starting from a seeded random unit vector,
-    and stops once the Euclidean change between iterates is at most
-    ``opt.tol`` or ``opt.max_iter`` updates have run.
-    """
+
+def proximal_gradient_fit_columns(
+    x: np.ndarray, y: np.ndarray, cfg: RobustConfig, pen: Penalty, lam: float, opt: OptimizerConfig
+) -> list[FitResult]:
+    """Fit the k regressions of ``y`` (n, k) on the shared design ``x`` (n, q),
+    both finite float64, together: one proximal gradient step (threshold
+    lam*step) for all running columns per iteration.  Column j starts from
+    ``init_beta(q, column_seed(opt.seed, j))`` and stops on its own once its
+    iterates move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    pen.check_coverage(reg.q)
-    n, q = reg.n, reg.q
-    w = mallows_weights(reg.x, cfg)
-    w2x = (w * w)[:, None] * reg.x
-    step = 0.99 / gradient_lipschitz_bound(reg, cfg) if opt.safe_step else opt.step
-
-    beta = init_beta(q, opt.seed)
-    trace: list[float] | None = [] if opt.record_trace else None
-    change = np.inf
-    iterations = 0
+    q, k = x.shape[1], y.shape[1]
+    pen.check_coverage(q)
+    w = mallows_weights(x, cfg)
+    step = 0.99 / _lipschitz_bound(x, w) if opt.safe_step else opt.step
+    regs = [Regression(y[:, j], x) for j in range(k)] if opt.record_trace else None
+    traces: list[list[float]] = [[] for _ in range(k)]
+    results: list = [None] * k
+    beta = np.column_stack([init_beta(q, column_seed(opt.seed, j)) for j in range(k)])
+    cols = np.arange(k)  # index of each running column in the input
     for it in range(1, opt.max_iter + 1):
-        r = reg.y - reg.x @ beta
-        lp = np.clip(w * r, -cfg.tau, cfg.tau)
-        acc = np.add.reduce(lp[:, None] * w2x, axis=0, dtype=np.longdouble)
-        grad = -(acc / n).astype(np.float64)
-        stepped = beta - step * grad
+        stepped = beta - step * robust_gradient_columns(x, y, beta, w, cfg.tau)
         if not np.all(np.isfinite(stepped)):
-            raise DivergenceError(it)
+            raise DivergenceError(it, int(cols[np.argmin(np.isfinite(stepped).all(axis=0))]))
         beta_new = prox(pen, stepped, lam * step)
-        change = float(np.linalg.norm(beta_new - beta))
+        change = np.linalg.norm(beta_new - beta, axis=0)
         beta = beta_new
-        iterations = it
-        if trace is not None:
-            trace.append(robust_objective(reg, beta, cfg, weights=w) + lam * penalty_value(pen, beta))
-        if change <= opt.tol:
-            break
-    return FitResult(
-        beta_hat=beta,
-        iterations=iterations,
-        final_change=change,
-        converged=change <= opt.tol,
-        objective_trace=None if trace is None else np.asarray(trace),
-    )
+        for i, j in enumerate(cols if regs is not None else ()):
+            f = robust_objective(regs[j], beta[:, i], cfg, weights=w)
+            traces[j].append(f + lam * penalty_value(pen, beta[:, i]))
+        done = (change <= opt.tol) | (it == opt.max_iter)
+        for i in np.flatnonzero(done):
+            results[cols[i]] = FitResult(
+                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol),
+                None if regs is None else np.asarray(traces[cols[i]]),
+            )
+        if done.any():
+            cols, beta, y = cols[~done], beta[:, ~done], y[:, ~done]
+            if cols.size == 0:
+                break
+    return results

@@ -87,7 +87,7 @@ def soft_threshold(v: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarray:
-    """Blockwise shrinkage v_G * (1 - alpha/||v_G||)_+, zeroing small blocks."""
+    """Blockwise shrinkage v_G * (1 - alpha/||v_G||)_+ per column, zeroing small blocks."""
     if pen.kind != "group":
         raise ValueError("group_soft_threshold requires a group penalty")
     if alpha < 0:
@@ -99,14 +99,14 @@ def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarra
     out = np.zeros_like(v)
     for g in pen.groups:
         idx = list(g)
-        nrm = float(np.linalg.norm(v[idx]))
-        if nrm > alpha:
-            out[idx] = v[idx] * (1.0 - alpha / nrm)
+        nrm = np.linalg.norm(v[idx], axis=0)
+        keep = nrm > alpha
+        out[idx] = v[idx] * np.where(keep, 1.0 - alpha / np.where(keep, nrm, 1.0), 0.0)
     return out
 
 
 def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:
-    """Proximal operator of alpha times the penalty norm."""
+    """Proximal operator of alpha times the penalty norm, column by column."""
     if pen.kind == "l1":
         return soft_threshold(v, alpha)
     return group_soft_threshold(v, pen, alpha)

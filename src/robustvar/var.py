@@ -9,13 +9,12 @@ A lag-``d`` model in dimension ``p`` is stored as coefficient matrices
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import column_seed
 from .losses import Regression, RobustConfig
-from .optimizer import DivergenceError, FitResult, OptimizerConfig, proximal_gradient_fit
+from .optimizer import FitResult, OptimizerConfig, proximal_gradient_fit_columns
 from .penalties import Penalty
 
 __all__ = [
@@ -132,6 +131,22 @@ def rescale_to_radius(a: np.ndarray, rho_target: float) -> np.ndarray:
     return a * (rho_target / r)
 
 
+def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared design (n, p*d) and responses (n, p) of a lag-d series."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("data must be a 2-d array (rows = time points)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("regression data must be finite")
+    if d < 1:
+        raise ValueError(f"lag must be at least 1, got {d}")
+    n_rows = data.shape[0]
+    if n_rows < d + 1:
+        raise ValueError(f"need at least {d + 1} rows for lag {d}, got {n_rows}")
+    x = np.hstack([data[d - lag : n_rows - lag] for lag in range(1, d + 1)])
+    return x, data[d:]
+
+
 def decompose_regressions(data: np.ndarray, d: int) -> list[Regression]:
     """Split an (N, p) series into p column regressions sharing one design matrix.
 
@@ -140,16 +155,8 @@ def decompose_regressions(data: np.ndarray, d: int) -> list[Regression]:
     (Z_{d,j}, ..., Z_{T,j}); there are n = N - d usable rows.  All returned
     regressions reference the same design array.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("data must be a 2-d array (rows = time points)")
-    if d < 1:
-        raise ValueError(f"lag must be at least 1, got {d}")
-    n_rows, p = data.shape
-    if n_rows < d + 1:
-        raise ValueError(f"need at least {d + 1} rows for lag {d}, got {n_rows}")
-    x = np.hstack([data[d - lag : n_rows - lag] for lag in range(1, d + 1)])
-    return [Regression(y=data[d:, j], x=x) for j in range(p)]
+    x, y = _lagged_design(data, d)
+    return [Regression(y=y[:, j], x=x) for j in range(y.shape[1])]
 
 
 def theory_lambda(p: int, d: int, n: int, cfg: RobustConfig, c: float) -> float:
@@ -166,29 +173,16 @@ def fit_var(
 ) -> tuple[VarModel, list[FitResult]]:
     """Estimate a lag-d transition matrix by p penalized column regressions.
 
-    Every column uses the same penalty and tuning value; per-column optimizer
-    seeds are derived from ``fit.opt.seed`` via :func:`column_seed`, so the
-    assembled estimate does not depend on the order the columns are fit in.
-    """
-    regs = decompose_regressions(data, d)
-    p = len(regs)
-    n, q = regs[0].x.shape
+    All p share one penalty and tuning value and are solved together; each
+    keeps its own seed and stop test, so column order does not matter."""
+    x, y = _lagged_design(data, d)
+    n, p = y.shape
     if fit.lambda_mode == "theory":
         lam = theory_lambda(p, d, n, fit.robust, fit.c)
     else:
         lam = fit.lam
-    columns: list[np.ndarray] = []
-    results: list[FitResult] = []
-    for j, reg in enumerate(regs):
-        opt_j = replace(fit.opt, seed=column_seed(fit.opt.seed, j))
-        try:
-            res = proximal_gradient_fit(reg, fit.robust, fit.penalty, lam, opt_j)
-        except DivergenceError as exc:
-            exc.args = (f"column {j}: {exc.args[0]}",)
-            raise
-        columns.append(res.beta_hat)
-        results.append(res)
-    stacked = np.column_stack(columns)
+    results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt)
+    stacked = np.column_stack([r.beta_hat for r in results])
     coeffs = [stacked[k * p : (k + 1) * p, :] for k in range(d)]
     return VarModel(tuple(coeffs)), results
 

@@ -153,6 +153,13 @@ class TestMallowsWeight:
         with pytest.raises(ValueError):
             mallows_weight(np.ones(3), cfg)
 
+    def test_nonfinite_row_rejected(self):
+        cfg = RobustConfig(tau=1, b=3)
+        with pytest.raises(ValueError):
+            mallows_weights(np.array([[np.nan, 1.0], [6.0, 0.0]]), cfg)
+        with pytest.raises(ValueError):
+            mallows_weight(np.array([np.inf, 1.0]), cfg)
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 4)) * 3

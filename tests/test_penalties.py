@@ -185,6 +185,14 @@ class TestGroupSoftThreshold:
             )
             assert d_out <= np.linalg.norm(v1 - v2) + 1e-12
 
+    def test_matrix_columns_shrunk_independently(self):
+        rng = np.random.default_rng(7)
+        pen = Penalty("group", groups=((0, 1), (2, 3, 4)))
+        v = rng.standard_normal((5, 6))
+        got = group_soft_threshold(v, pen, 0.8)
+        for j in range(6):
+            np.testing.assert_allclose(got[:, j], group_soft_threshold(v[:, j], pen, 0.8), rtol=1e-15)
+
     def test_requires_group_kind(self):
         with pytest.raises(ValueError):
             group_soft_threshold(np.ones(2), Penalty("l1"), 0.5)

@@ -1,11 +1,13 @@
 """Tests for VAR model structure, tuning, and full-matrix estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from robustvar import (
+    DivergenceError,
     FitConfig,
     OptimizerConfig,
     Penalty,
@@ -206,6 +208,48 @@ class TestFitVar:
         assert column_seed(42, 0) == 42
         np.testing.assert_array_equal(results[0].beta_hat, direct.beta_hat)
         np.testing.assert_array_equal(est.coeffs[0][:, 0], direct.beta_hat)
+
+    @pytest.mark.parametrize(
+        "pen", [Penalty("l1"), Penalty("group", groups=((0, 1), (2, 3, 4)))], ids=["l1", "group"]
+    )
+    def test_columns_match_single_fits(self, pen):
+        # all columns are solved together; each must still equal its own
+        # single-regression fit, stopping at its own iteration
+        rng = np.random.default_rng(12)
+        p = 5
+        b = rescale_to_radius(rng.standard_normal((p, p)), 0.6)
+        data = np.empty((80, p))
+        data[0] = 0.0
+        for t in range(1, 80):
+            data[t] = b.T @ data[t - 1] + rng.standard_t(3, p)
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        opt = OptimizerConfig(seed=5)
+        fit = FitConfig(robust=cfg, penalty=pen, lambda_mode="explicit", lam=0.02, opt=opt)
+        est, results = fit_var(data, 1, fit)
+        assert len({r.iterations for r in results}) > 1
+        for j, reg in enumerate(decompose_regressions(data, 1)):
+            direct = proximal_gradient_fit(reg, cfg, pen, 0.02, replace(opt, seed=column_seed(5, j)))
+            assert results[j].iterations == direct.iterations
+            assert results[j].converged == direct.converged
+            np.testing.assert_allclose(results[j].beta_hat, direct.beta_hat, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(est.coeffs[0][:, j], results[j].beta_hat)
+
+    def test_divergence_names_column(self):
+        # the last design row times the clipped residual of column 1's last
+        # response overflows, so only column 1's gradient is infinite
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal((30, 3))
+        data[-2] *= 100.0
+        data[-1, 1] = 1e308
+        fit = FitConfig(
+            robust=RobustConfig(tau=1e308, b=1e308), lambda_mode="explicit", lam=0.0,
+            opt=OptimizerConfig(step=1e-6, seed=0),
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+            fit_var(data, 1, fit)
+        assert exc.value.column == 1
+        assert exc.value.iteration == 1
+        assert str(exc.value).startswith("column 1:")
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
