@@ -21,6 +21,7 @@ from .experiments import (
     emit_csv,
     run_experiment,
     spec_from_dict,
+    spec_to_dict,
     write_provenance,
 )
 from .losses import RobustConfig
@@ -54,8 +55,6 @@ from .var import (
     theory_lambda,
     write_var_model_csv,
 )
-
-RNG_ID = "numpy PCG64; streams derived by splitmix64 over (seed, cell, rep)"
 
 
 def _noise_from_dict(d: dict):
@@ -122,12 +121,6 @@ def dgp_from_dict(d: dict):
     raise ValueError(f"unknown process kind {kind!r}")
 
 
-def _write_provenance_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_simulate(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
@@ -147,11 +140,10 @@ def _cmd_simulate(args) -> int:
         dgp = VarTDgp(model=model, noise=StudentTNoise(args.df))
     data = simulate(dgp, args.n, args.burn_in, derive_seed(args.seed, 1))
     write_series_csv(data, args.out)
-    _write_provenance_json(
+    write_provenance(
         args.out + ".provenance.json",
         {"tool": "robustvar simulate", "dgp": spec_doc, "n": args.n,
-         "burn_in": args.burn_in, "seed": args.seed, "rng": RNG_ID,
-         "outputs": [args.out]},
+         "burn_in": args.burn_in, "seed": args.seed, "outputs": [args.out]},
     )
     print(f"wrote {args.out} ({data.shape[0]} rows, {data.shape[1]} columns)")
     return 0
@@ -176,13 +168,13 @@ def _cmd_fit(args) -> int:
         if args.lambda_mode == "theory"
         else args.lam
     )
-    _write_provenance_json(
+    write_provenance(
         args.out + ".provenance.json",
         {"tool": "robustvar fit", "input": args.input, "lag": args.lag,
          "tau": args.tau, "b": args.b, "weight_form": args.weight_form,
          "lambda_mode": args.lambda_mode, "lambda": lam, "c": args.c,
          "step": args.step, "tol": args.tol, "max_iter": args.max_iter,
-         "seed": args.seed, "rng": RNG_ID, "outputs": [args.out]},
+         "seed": args.seed, "outputs": [args.out]},
     )
     converged = sum(r.converged for r in results)
     print(
@@ -202,7 +194,11 @@ def _cmd_experiment(args) -> int:
     emit_csv(rows, csv_path)
     x_field = "df" if spec.case == "case1_df_sweep" else "n"
     emit_svg_lines(rows, x_field, "tau", svg_path)
-    write_provenance(base + ".provenance.json", spec, [csv_path, svg_path])
+    write_provenance(
+        base + ".provenance.json",
+        {"tool": "robustvar", "spec": spec_to_dict(spec), "seed": spec.seed,
+         "outputs": [csv_path, svg_path]},
+    )
     print(f"wrote {csv_path} and {svg_path}")
     return 0
 
@@ -236,10 +232,9 @@ def _cmd_diagnose(args) -> int:
         include_re=include_re,
     )
     diag.write_reports_csv(reports, args.out)
-    _write_provenance_json(
+    write_provenance(
         args.out + ".provenance.json",
-        {"tool": "robustvar diagnose", "spec": doc, "seed": seed,
-         "rng": RNG_ID, "outputs": [args.out]},
+        {"tool": "robustvar diagnose", "spec": doc, "seed": seed, "outputs": [args.out]},
     )
     rate = sum(r.deviation_pass for r in reports) / len(reports)
     print(f"wrote {args.out}: deviation pass rate {rate:.3f} over {reps} replications")

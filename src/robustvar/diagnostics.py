@@ -53,11 +53,18 @@ def _re_probe(
     reg: Regression,
     beta_star: np.ndarray,
     cfg: RobustConfig,
-    radius: float,
+    radius: float | None,
     n_directions: int,
     sparsity_s: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
+    """Smallest remainder ratio and its direction; radius None is tau / (2 * b_max)."""
+    if radius is None:
+        radius = cfg.tau / (2.0 * cfg.b_max)
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if n_directions < 1:
+        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
     beta_star = np.asarray(beta_star, dtype=np.float64)
     q = reg.q
     s = min(max(1, sparsity_s), q)
@@ -106,14 +113,7 @@ def re_check(
     each direction is probed with both signs.  The result is nonnegative up
     to roundoff because the loss is convex.
     """
-    if radius is None:
-        radius = cfg.tau / (2.0 * cfg.b_max)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
-    best, _ = _re_probe(reg, beta_star, cfg, radius, n_directions, sparsity_s, seed)
-    return best
+    return _re_probe(reg, beta_star, cfg, radius, n_directions, sparsity_s, seed)[0]
 
 
 def diagnostics_replication(
@@ -133,9 +133,7 @@ def diagnostics_replication(
     n_dirs = 0
     if include_re:
         s = max(1, int(np.count_nonzero(beta_star)))
-        re_hat, min_dir = _re_probe(
-            reg, beta_star, cfg, cfg.tau / (2.0 * cfg.b_max), n_directions, s, seed
-        )
+        re_hat, min_dir = _re_probe(reg, beta_star, cfg, None, n_directions, s, seed)
         n_dirs = n_directions
     return DiagnosticsReport(
         deviation_stat=stat,

@@ -55,6 +55,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+RNG_ID = "numpy PCG64; streams derived by splitmix64 over (seed, cell, rep)"
+
 # Tuning constant for theory-mode lambda, calibrated once on the small-VAR
 # benchmark (p=10, n=30, t(3) noise, tau=1, b=3, 200 replications, seed 0)
 # as the smallest rounded value at which the deviation condition holds in at
@@ -333,15 +335,12 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
-def write_provenance(path, spec: ExperimentSpec, outputs: list[str]) -> None:
-    """Record everything needed to reproduce the run's output files."""
-    doc = {
-        "tool": "robustvar",
-        "spec": spec_to_dict(spec),
-        "seed": spec.seed,
-        "rng": "numpy PCG64; streams derived by splitmix64 over (seed, cell, rep)",
-        "outputs": outputs,
-    }
+def write_provenance(path, record: dict) -> None:
+    """Record everything needed to reproduce a run's output files.
+
+    Writes ``record`` plus the RNG identifier as sorted, indent-2 JSON with
+    LF line endings.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({**record, "rng": RNG_ID}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -200,7 +200,9 @@ class ArchVarDgp:
     Alternatively ``sigma_fn`` may supply an arbitrary scale map z -> matrix
     (or per-coordinate vector); callbacks are accepted unchecked beyond the
     linear part's radius(B) < 1, since general scale maps admit no mechanical
-    stability test.
+    stability test.  :func:`simulate` checks the path only after its last
+    step, so on a path that fails ``sigma_fn`` may be called with the
+    non-finite states of the steps after the failing one.
     """
 
     b: np.ndarray
@@ -337,6 +339,8 @@ class ThresholdVarDgp:
     :class:`IntervalPartition`.  Stability requires every regime matrix to be
     an operator-norm contraction: max_j ||B_j||_2 < 1 (the piecewise map
     z -> B_j'z then shrinks the state regardless of which region fires).
+    A custom partition may be called with a non-finite state: on a path that
+    fails, :func:`simulate` keeps stepping until it checks the whole path.
     """
 
     models: tuple[np.ndarray, ...]
@@ -437,20 +441,16 @@ def gen_er_transition(
     )
 
 
-def _check_finite(state: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(state)):
-        raise SimulationError(f"non-finite state at step {step}")
-
-
 def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
     """Run a process for burn_in + n steps from a zero state and keep the last n.
 
     Returns an (n, p) array, one row per time point.  The path's primary
     noise is drawn in a single block up front from ``default_rng(seed)``;
     the random-coefficient variant then draws its coefficient perturbations
-    from the same stream, also in one block.  A non-finite state aborts with
-    :class:`SimulationError` naming the step; callers may retry with the next
-    substream.
+    from the same stream, also in one block.  The whole path is checked for
+    finiteness once, after the last step; a non-finite path raises
+    :class:`SimulationError` naming the first non-finite step, and callers
+    may retry with the next substream.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -464,92 +464,91 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         m = companion_matrix(spec.model)
         eps = sample_noise(spec.noise, (steps, p), rng)
         state = np.zeros(p * d)
-        out = np.empty((steps, p))
-        for t in range(steps):
+
+        def step(t, state):
             state = m @ state
             state[:p] += eps[t]
-            _check_finite(state, t + 1)
-            out[t] = state[:p]
-        return out[burn_in:]
+            return state
 
-    if isinstance(spec, ArchVarDgp):
+    elif isinstance(spec, ArchVarDgp):
         p = spec.b.shape[0]
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
-        z = np.zeros(p)
-        out = np.empty((steps, p))
+        state = np.zeros(p)
         if spec.sigma_fn is not None:
-            for t in range(steps):
+
+            def step(t, z):
                 scale = np.asarray(spec.sigma_fn(z), dtype=np.float64)
                 shock = scale @ eta[t] if scale.ndim == 2 else scale * eta[t]
-                z = bt @ z + shock
-                _check_finite(z, t + 1)
-                out[t] = z
-            return out[burn_in:]
-        f_arr = np.asarray(spec.f)
-        for t in range(steps):
-            quad = np.array([z @ fm @ z for fm in spec.f_mats])
-            sig = np.sqrt(f_arr + quad)
-            z = bt @ z
-            z += sig * eta[t]
-            _check_finite(z, t + 1)
-            out[t] = z
-        return out[burn_in:]
+                return bt @ z + shock
 
-    if isinstance(spec, UnivariateArchDgp):
+        else:
+            f_arr = np.asarray(spec.f)
+
+            def step(t, z):
+                quad = np.array([z @ fm @ z for fm in spec.f_mats])
+                sig = np.sqrt(f_arr + quad)
+                z = bt @ z
+                z += sig * eta[t]
+                return z
+
+    elif isinstance(spec, UnivariateArchDgp):
+        p = 1
         m = spec.companion()
-        order = len(spec.b)
         eta = sample_noise(spec.noise, (steps, 1), rng)
         d_vec = np.asarray(spec.d)
-        state = np.zeros(order)
-        out = np.empty((steps, 1))
-        for t in range(steps):
+        state = np.zeros(len(spec.b))
+
+        def step(t, state):
             sig = np.sqrt(spec.d0 + d_vec @ (state * state))
             state = m @ state
             state[0] += sig * eta[t, 0]
-            _check_finite(state, t + 1)
-            out[t, 0] = state[0]
-        return out[burn_in:]
+            return state
 
-    if isinstance(spec, BekkVarDgp):
+    elif isinstance(spec, BekkVarDgp):
         p = spec.b.shape[0]
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
-        z = np.zeros(p)
-        out = np.empty((steps, p))
-        for t in range(steps):
-            scale = spec.scale_at(z)
-            z = bt @ z + scale @ eta[t]
-            _check_finite(z, t + 1)
-            out[t] = z
-        return out[burn_in:]
+        state = np.zeros(p)
 
-    if isinstance(spec, ThresholdVarDgp):
+        def step(t, z):
+            return bt @ z + spec.scale_at(z) @ eta[t]
+
+    elif isinstance(spec, ThresholdVarDgp):
         p = spec.models[0].shape[0]
         bts = [np.ascontiguousarray(m.T) for m in spec.models]
         eta = sample_noise(spec.noise, (steps, p), rng)
-        z = np.zeros(p)
-        out = np.empty((steps, p))
-        for t in range(steps):
-            j = spec.partition.region(z)
-            z = bts[j] @ z + eta[t]
-            _check_finite(z, t + 1)
-            out[t] = z
-        return out[burn_in:]
+        state = np.zeros(p)
 
-    if isinstance(spec, RcVarDgp):
+        def step(t, z):
+            return bts[spec.partition.region(z)] @ z + eta[t]
+
+    elif isinstance(spec, RcVarDgp):
         p = spec.b.shape[0]
         eta = sample_noise(spec.noise, (steps, p), rng)
         gammas = rng.normal(0.0, spec.gamma_sd, (steps, p, p))
-        z = np.zeros(p)
-        out = np.empty((steps, p))
-        for t in range(steps):
-            z = (spec.b.T + gammas[t]) @ z + eta[t]
-            _check_finite(z, t + 1)
-            out[t] = z
-        return out[burn_in:]
+        state = np.zeros(p)
 
-    raise TypeError(f"unknown process spec {type(spec).__name__}")
+        def step(t, z):
+            return (spec.b.T + gammas[t]) @ z + eta[t]
+
+    else:
+        raise TypeError(f"unknown process spec {type(spec).__name__}")
+
+    out = np.empty((steps, p))
+    # Any overflow or invalid value leaves a non-finite state, which the
+    # check below reports with its step; without errstate a failed path
+    # would warn again on every later step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            state = step(t, state)
+            out[t] = state[:p]
+    # The lagged parts of a state are earlier rows of ``out``, so the first
+    # non-finite row is the first step whose state was non-finite.
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise SimulationError(f"non-finite state at step {int(bad.argmax()) + 1}")
+    return out[burn_in:]
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +573,15 @@ def read_series_csv(path) -> np.ndarray:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
             raise ValueError("not a series CSV: first column must be t")
-        rows = [[float(v) for v in line.split(",")[1:]] for line in fh if line.strip()]
-    data = np.asarray(rows, dtype=np.float64)
-    if data.shape[1] != len(header) - 1:
-        raise ValueError("row width does not match header")
-    return data
+        width = len(header) - 1
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            values = line.split(",")[1:]
+            if len(values) != width:
+                raise ValueError(f"line {lineno} has {len(values)} values, the header names {width}")
+            rows.append([float(v) for v in values])
+    if not rows:
+        raise ValueError("series CSV has no data rows")
+    return np.asarray(rows, dtype=np.float64)

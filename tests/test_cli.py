@@ -119,6 +119,16 @@ class TestDiagnoseCommand:
         assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_zero_directions_fails(self, tmp_path, capsys):
+        spec = {"p": 5, "n": 20, "replications": 2, "burn_in": 20,
+                "n_directions": 0, "include_re": True}
+        spec_path = tmp_path / "diag.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "diag.csv"
+        assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "n_directions must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCheckStabilityCommand:
     def test_reports_radius(self, tmp_path, capsys):

@@ -170,7 +170,7 @@ class TestProvenance:
         csv_path = tmp_path / "run.csv"
         emit_csv(run_experiment(spec), csv_path)
         prov = tmp_path / "run.provenance.json"
-        write_provenance(prov, spec, [str(csv_path)])
+        write_provenance(prov, {"spec": spec_to_dict(spec), "outputs": [str(csv_path)]})
 
         doc = json.loads(prov.read_text())
         spec_back = spec_from_dict(doc["spec"])

@@ -1,5 +1,7 @@
 """Tests for the heavy-tailed process generators and their stability gates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,8 +237,24 @@ class TestSimulate:
 
     def test_explosive_path_raises_with_step(self):
         spec = UnivariateArchDgp(b=(0.0,), d0=2.5e307, d=(0.999,), noise=GaussianNoise(1.0))
-        with np.errstate(over="ignore"), pytest.raises(SimulationError, match=r"step \d+"):
+        with pytest.raises(SimulationError, match=r"at step 7$"):
             simulate(spec, 500, 0, seed=12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failing_scale_names_its_step_without_warnings(self, bad):
+        # the path keeps running after the failing step, so later steps see
+        # non-finite states; the error must still name the first one
+        k, calls = 23, []
+
+        def sigma_fn(z):
+            calls.append(1)
+            return np.full(2, bad if len(calls) == k else 1.0)
+
+        spec = ArchVarDgp(b=np.array([[0.5, 0.4], [-0.4, 0.5]]), sigma_fn=sigma_fn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationError, match=rf"at step {k}$"):
+                simulate(spec, 50, 10, seed=3)
 
     def test_bad_args(self):
         spec = VarTDgp(VarModel((np.zeros((1, 1)),)), GaussianNoise(1.0))
@@ -315,3 +333,15 @@ class TestSeriesCsv:
         path = tmp_path / "s.csv"
         write_series_csv(np.zeros((2, 2)), path)
         assert path.read_text().splitlines()[0] == "t,z1,z2"
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,z1,z2\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            read_series_csv(path)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,z1,z2\n0,1.0,2.0\n1,3.0\n2,4.0,5.0\n")
+        with pytest.raises(ValueError, match="line 3 has 1 values, the header names 2"):
+            read_series_csv(path)
