@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from ._seeds import derive_seed
 from . import diagnostics as diag
 from .experiments import (
@@ -57,75 +55,56 @@ from .var import (
 )
 
 
-def _noise_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "student_t":
-        return StudentTNoise(df=float(d["df"]))
-    if kind == "gaussian":
-        sd = d.get("sd", 1.0)
-        return GaussianNoise(sd=tuple(sd) if isinstance(sd, list) else float(sd))
-    if kind == "scale_mixture":
-        return ScaleMixtureNoise(components=tuple((float(w), float(s)) for w, s in d["components"]))
-    raise ValueError(f"unknown noise kind {kind!r}")
+_NOISES = {
+    "student_t": StudentTNoise,
+    "gaussian": GaussianNoise,
+    "scale_mixture": ScaleMixtureNoise,
+}
+_PARTITIONS = {"sign": SignPartition, "interval": IntervalPartition}
 
 
-def _partition_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "sign":
-        return SignPartition()
-    if kind == "interval":
-        return IntervalPartition(axis=int(d["axis"]), breakpoints=tuple(d["breakpoints"]))
-    raise ValueError(f"unknown partition kind {kind!r}")
+def _var_t(coeffs, **kwargs):
+    return VarTDgp(model=VarModel(coeffs), **kwargs)
+
+
+_PROCESSES = {
+    "var_t": _var_t,
+    "arch_var": ArchVarDgp,
+    "univariate_arch": UnivariateArchDgp,
+    "bekk_var": BekkVarDgp,
+    "threshold_var": ThresholdVarDgp,
+    "rc_var": RcVarDgp,
+}
+
+
+def _from_table(table: dict, what: str, doc: dict):
+    kwargs = dict(doc)
+    kind = kwargs.pop("kind", None)
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return table[kind](**kwargs)
 
 
 def dgp_from_dict(d: dict):
-    """Build a process spec from a JSON-compatible dict (see README for schemas)."""
-    kind = d.get("kind")
-    noise = _noise_from_dict(d["noise"]) if "noise" in d else GaussianNoise(1.0)
-    if kind == "var_t":
-        coeffs = tuple(np.asarray(c, dtype=np.float64) for c in d["coeffs"])
-        return VarTDgp(model=VarModel(coeffs), noise=noise)
-    if kind == "arch_var":
-        return ArchVarDgp(
-            b=np.asarray(d["b"], dtype=np.float64),
-            f=tuple(float(v) for v in d["f"]),
-            f_mats=tuple(np.asarray(m, dtype=np.float64) for m in d["f_mats"]),
-            noise=noise,
-        )
-    if kind == "univariate_arch":
-        return UnivariateArchDgp(
-            b=tuple(float(v) for v in d["b"]),
-            d0=float(d["d0"]),
-            d=tuple(float(v) for v in d["d"]),
-            noise=noise,
-        )
-    if kind == "bekk_var":
-        return BekkVarDgp(
-            b=np.asarray(d["b"], dtype=np.float64),
-            c=np.asarray(d["c"], dtype=np.float64),
-            f=np.asarray(d["f"], dtype=np.float64),
-            noise=noise,
-        )
-    if kind == "threshold_var":
-        return ThresholdVarDgp(
-            models=tuple(np.asarray(m, dtype=np.float64) for m in d["models"]),
-            partition=_partition_from_dict(d.get("partition", {"kind": "sign"})),
-            noise=noise,
-        )
-    if kind == "rc_var":
-        return RcVarDgp(
-            b=np.asarray(d["b"], dtype=np.float64),
-            gamma_sd=float(d["gamma_sd"]),
-            noise=noise,
-        )
-    raise ValueError(f"unknown process kind {kind!r}")
+    """Build a process spec from a JSON-compatible dict (see README for schemas).
+
+    ``kind`` picks the class and the other keys are its fields, passed by
+    name; nested ``noise`` and ``partition`` dicts are read the same way, and
+    ``var_t`` takes ``coeffs`` (the lag matrices) in place of ``model``.  An
+    unknown kind raises ``ValueError`` and an unknown key ``TypeError``.
+    """
+    kwargs = dict(d)
+    if "noise" in kwargs:
+        kwargs["noise"] = _from_table(_NOISES, "noise", kwargs["noise"])
+    if "partition" in kwargs:
+        kwargs["partition"] = _from_table(_PARTITIONS, "partition", kwargs["partition"])
+    return _from_table(_PROCESSES, "process", kwargs)
 
 
 def _cmd_simulate(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec_doc = json.load(fh)
-        dgp = dgp_from_dict(spec_doc)
     else:
         if args.model:
             model = read_var_model_csv(args.model)
@@ -137,8 +116,7 @@ def _cmd_simulate(args) -> int:
             "coeffs": [c.tolist() for c in model.coeffs],
             "noise": {"kind": "student_t", "df": args.df},
         }
-        dgp = VarTDgp(model=model, noise=StudentTNoise(args.df))
-    data = simulate(dgp, args.n, args.burn_in, derive_seed(args.seed, 1))
+    data = simulate(dgp_from_dict(spec_doc), args.n, args.burn_in, derive_seed(args.seed, 1))
     write_series_csv(data, args.out)
     write_provenance(
         args.out + ".provenance.json",
@@ -151,9 +129,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = read_series_csv(args.input)
-    robust = RobustConfig(tau=args.tau, b=args.b, weight_form=args.weight_form)
     fit = FitConfig(
-        robust=robust,
+        robust=RobustConfig(tau=args.tau, b=args.b, weight_form=args.weight_form),
         penalty=Penalty("l1"),
         lambda_mode=args.lambda_mode,
         lam=args.lam,
@@ -162,12 +139,7 @@ def _cmd_fit(args) -> int:
     )
     est, results = fit_var(data, args.lag, fit)
     write_var_model_csv(est, args.out)
-    n_reg = data.shape[0] - args.lag
-    lam = (
-        theory_lambda(est.p, args.lag, n_reg, robust, args.c)
-        if args.lambda_mode == "theory"
-        else args.lam
-    )
+    lam = fit.lambda_for(est.p, args.lag, data.shape[0] - args.lag)
     write_provenance(
         args.out + ".provenance.json",
         {"tool": "robustvar fit", "input": args.input, "lag": args.lag,
@@ -206,38 +178,23 @@ def _cmd_experiment(args) -> int:
 def _cmd_diagnose(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    p = int(doc.get("p", 10))
-    n = int(doc.get("n", 30))
-    df = float(doc.get("df", 3.0))
-    tau = float(doc.get("tau", 1.0))
-    b = float(doc.get("b", 3.0))
-    reps = int(doc.get("replications", 200))
-    seed = int(doc.get("seed", 0))
-    density = float(doc.get("density", 0.05))
-    rho = float(doc.get("rho_target", 0.5))
-    burn_in = int(doc.get("burn_in", 500))
-    n_directions = int(doc.get("n_directions", 200))
-    include_re = bool(doc.get("include_re", True))
-    c = doc.get("c")
-    lam_fixed = doc.get("lambda")
-
+    # the spec's keys are run_deviation_experiment's parameters plus "lambda"
+    kwargs = {"p": 10, "n": 30, "df": 3.0, "tau": 1.0, "b": 3.0, "replications": 200,
+              "seed": 0, "include_re": True, **doc}
+    lam_fixed = kwargs.pop("lambda", None)
     if lam_fixed is not None:
-        c_eff = float(lam_fixed) / theory_lambda(p, 1, n - 1, RobustConfig(tau=tau, b=b), 1.0)
-    else:
-        c_eff = float(c) if c is not None else CALIBRATED_C
-    reports = diag.run_deviation_experiment(
-        p, n, df, tau, b, c_eff, reps, seed,
-        density=density, rho_target=rho, burn_in=burn_in,
-        column=int(doc.get("column", 0)), n_directions=n_directions,
-        include_re=include_re,
-    )
+        unit = RobustConfig(tau=kwargs["tau"], b=kwargs["b"])
+        kwargs["c"] = lam_fixed / theory_lambda(kwargs["p"], 1, kwargs["n"] - 1, unit, 1.0)
+    elif kwargs.get("c") is None:
+        kwargs["c"] = CALIBRATED_C
+    reports = diag.run_deviation_experiment(**kwargs)
     diag.write_reports_csv(reports, args.out)
     write_provenance(
         args.out + ".provenance.json",
-        {"tool": "robustvar diagnose", "spec": doc, "seed": seed, "outputs": [args.out]},
+        {"tool": "robustvar diagnose", "spec": doc, "seed": kwargs["seed"], "outputs": [args.out]},
     )
     rate = sum(r.deviation_pass for r in reports) / len(reports)
-    print(f"wrote {args.out}: deviation pass rate {rate:.3f} over {reps} replications")
+    print(f"wrote {args.out}: deviation pass rate {rate:.3f} over {len(reports)} replications")
     return 0
 
 

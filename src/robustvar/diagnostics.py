@@ -169,7 +169,7 @@ def run_deviation_experiment(
     """
     # local import: simulate depends on var which sits above this module
     from .simulate import StudentTNoise, VarTDgp, gen_er_transition, simulate
-    from .var import VarModel, decompose_regressions, theory_lambda
+    from .var import VarModel, theory_lambda
 
     cfg = RobustConfig(tau=tau, b=b)
     pen = Penalty("l1")
@@ -182,7 +182,7 @@ def run_deviation_experiment(
         data = simulate(
             VarTDgp(truth, StudentTNoise(df)), n, burn_in, derive_seed(rep_seed, 1)
         )
-        reg = decompose_regressions(data, 1)[column]
+        reg = Regression(data[1:, column], data[:-1])
         reports.append(
             diagnostics_replication(
                 reg, truth.stacked()[:, column], cfg, pen, lam,

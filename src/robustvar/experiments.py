@@ -22,18 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import derive_seed
-from .losses import RobustConfig
+from .losses import Regression, RobustConfig
 from .optimizer import OptimizerConfig, gradient_lipschitz_bound
 from .penalties import Penalty
 from .simulate import SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate
-from .var import (
-    FitConfig,
-    VarModel,
-    decompose_regressions,
-    estimation_error,
-    fit_var,
-    theory_lambda,
-)
+from .var import FitConfig, VarModel, estimation_error, fit_var
 
 __all__ = [
     "CALIBRATED_C",
@@ -185,20 +178,25 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             break
         except SimulationError as exc:
             log.warning("cell %d rep %d attempt %d: %s", cell_index, rep, attempt, exc)
-    if data is not None:  # the bound depends on the design and b, not on tau
-        first = decompose_regressions(data, spec.d)[0]
+    if data is not None:  # the bound depends on the lag-1 design and b, not on tau
+        first = Regression(data[1:, 0], data[:-1])
         lip = gradient_lipschitz_bound(first, RobustConfig(tau=1.0, b=spec.b))
     rows = []
     for tau in spec.tau_grid:
-        robust = RobustConfig(tau=tau, b=spec.b)
-        n_reg = n - spec.d
-        if spec.lambda_mode == "theory":
-            lam = theory_lambda(spec.p, spec.d, n_reg, robust, spec.c)
-        else:
-            lam = spec.lam
+        fit = FitConfig(
+            robust=RobustConfig(tau=tau, b=spec.b),
+            penalty=Penalty("l1"),
+            lambda_mode=spec.lambda_mode,
+            lam=spec.lam,
+            c=spec.c,
+            opt=OptimizerConfig(
+                step=spec.step, tol=spec.tol, max_iter=spec.max_iter,
+                seed=derive_seed(rep_seed, 2),
+            ),
+        )
         row = {
-            "case": spec.case, "p": spec.p, "n": n, "d": spec.d, "df": df,
-            "tau": tau, "lambda": lam, "rep": rep, "seed": rep_seed,
+            "case": spec.case, "p": spec.p, "n": n, "d": spec.d, "df": df, "tau": tau,
+            "lambda": fit.lambda_for(spec.p, spec.d, n - spec.d), "rep": rep, "seed": rep_seed,
         }
         if data is None:
             row.update(error=math.nan, iterations=0, converged=False)
@@ -209,17 +207,6 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
                 "cell %d rep %d tau %g: step %.3g exceeds curvature bound 1/L = %.3g",
                 cell_index, rep, tau, spec.step, 1.0 / lip,
             )
-        fit = FitConfig(
-            robust=robust,
-            penalty=Penalty("l1"),
-            lambda_mode=spec.lambda_mode,
-            lam=spec.lam,
-            c=spec.c,
-            opt=OptimizerConfig(
-                step=spec.step, tol=spec.tol, max_iter=spec.max_iter,
-                seed=derive_seed(rep_seed, 2),
-            ),
-        )
         est, results = fit_var(data, spec.d, fit)
         row.update(
             error=estimation_error(est, truth),

@@ -72,6 +72,8 @@ class GaussianNoise:
         sd = np.atleast_1d(np.asarray(self.sd, dtype=np.float64))
         if np.any(sd < 0) or not np.all(np.isfinite(sd)):
             raise ValueError("sd must be finite and nonnegative")
+        if not np.isscalar(self.sd):
+            object.__setattr__(self, "sd", tuple(sd.tolist()))
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,10 @@ class ScaleMixtureNoise:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not self.components:
+        components = tuple((float(w), float(sd)) for w, sd in self.components)
+        if not components:
             raise ValueError("mixture needs at least one component")
+        object.__setattr__(self, "components", components)
         weights = np.array([w for w, _ in self.components])
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must be nonnegative and sum to 1")
@@ -117,6 +121,7 @@ def sample_noise(spec: NoiseSpec, shape, rng: np.random.Generator) -> np.ndarray
 # threshold partitions
 
 
+@dataclass(frozen=True)
 class SignPartition:
     """Two half-spaces split by the sign of the first coordinate."""
 
@@ -124,9 +129,6 @@ class SignPartition:
 
     def region(self, z: np.ndarray) -> int:
         return 0 if z[0] < 0 else 1
-
-    def to_dict(self) -> dict:
-        return {"kind": "sign"}
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,6 @@ class IntervalPartition:
 
     def region(self, z: np.ndarray) -> int:
         return int(np.searchsorted(self.breakpoints, z[self.axis], side="right"))
-
-    def to_dict(self) -> dict:
-        return {"kind": "interval", "axis": self.axis, "breakpoints": list(self.breakpoints)}
 
 
 def indicator_map(partition, z: np.ndarray) -> np.ndarray:
@@ -178,7 +177,7 @@ class VarTDgp:
     """Linear VAR driven by iid noise: Z_t = B_1'Z_{t-1} + ... + B_d'Z_{t-d} + e_t."""
 
     model: VarModel
-    noise: NoiseSpec
+    noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
         r = self.stability_radius()
@@ -568,7 +567,12 @@ def write_series_csv(data: np.ndarray, path) -> None:
 
 
 def read_series_csv(path) -> np.ndarray:
-    """Read a series written by :func:`write_series_csv`."""
+    """Read a series written by :func:`write_series_csv`.
+
+    Rows are used in file order; the ``t`` column is a free label and is not
+    checked.  A ragged row or a non-numeric cell raises ``ValueError`` naming
+    its line, and for a cell its column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
@@ -581,7 +585,15 @@ def read_series_csv(path) -> np.ndarray:
             values = line.split(",")[1:]
             if len(values) != width:
                 raise ValueError(f"line {lineno} has {len(values)} values, the header names {width}")
-            rows.append([float(v) for v in values])
+            row = []
+            for name, value in zip(header[1:], values):
+                try:
+                    row.append(float(value))
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}, column {name}: {value.strip()!r} is not a number"
+                    ) from None
+            rows.append(row)
     if not rows:
         raise ValueError("series CSV has no data rows")
     return np.asarray(rows, dtype=np.float64)

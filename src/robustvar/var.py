@@ -83,6 +83,12 @@ class FitConfig:
         if self.lambda_mode == "theory" and not self.c > 0:
             raise ValueError("theory-mode constant c must be positive")
 
+    def lambda_for(self, p: int, d: int, n: int) -> float:
+        """The tuning value for p columns at lag d with n usable rows."""
+        if self.lambda_mode == "theory":
+            return theory_lambda(p, d, n, self.robust, self.c)
+        return self.lam
+
 
 def companion_matrix(model: VarModel) -> np.ndarray:
     """Single-lag companion form of a lag-d model.
@@ -177,10 +183,7 @@ def fit_var(
     keeps its own seed and stop test, so column order does not matter."""
     x, y = _lagged_design(data, d)
     n, p = y.shape
-    if fit.lambda_mode == "theory":
-        lam = theory_lambda(p, d, n, fit.robust, fit.c)
-    else:
-        lam = fit.lam
+    lam = fit.lambda_for(p, d, n)
     results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt)
     stacked = np.column_stack([r.beta_hat for r in results])
     coeffs = [stacked[k * p : (k + 1) * p, :] for k in range(d)]

@@ -46,6 +46,18 @@ class TestSimulateCommand:
         assert code == 0
         assert read_series_csv(out).shape == (25, 2)
 
+    def test_quick_flags_match_recorded_spec(self, tmp_path):
+        quick = tmp_path / "quick.csv"
+        common = ["--n", "30", "--burn-in", "40", "--seed", "5"]
+        assert run(["simulate", "--p", "4", "--df", "2.5", "--density", "0.3",
+                    "--rho", "0.6", *common, "--out", str(quick)]) == 0
+        prov = json.loads((tmp_path / "quick.csv.provenance.json").read_text())
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(prov["dgp"]))
+        from_spec = tmp_path / "spec.csv"
+        assert run(["simulate", "--spec", str(spec_path), *common, "--out", str(from_spec)]) == 0
+        assert from_spec.read_bytes() == quick.read_bytes()
+
     def test_unstable_spec_fails_cleanly(self, tmp_path, capsys):
         spec = {"kind": "var_t", "coeffs": [[[1.2]]],
                 "noise": {"kind": "gaussian", "sd": 1.0}}
@@ -127,6 +139,39 @@ class TestDiagnoseCommand:
         out = tmp_path / "diag.csv"
         assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "n_directions must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+REGIMES = [[[0.5]], [[-0.5]]]
+
+
+class TestUnknownSpecKeys:
+    @pytest.mark.parametrize(
+        "command, spec, key",
+        [
+            ("simulate", {"kind": "var_t", "coeffs": [[[0.5]]],
+                          "nosie": {"kind": "student_t", "df": 2.5}}, "nosie"),
+            ("simulate", {"kind": "var_t", "coeffs": [[[0.5]]],
+                          "noise": {"kind": "student_t", "df": 2.5, "scale": 2.0}}, "scale"),
+            ("simulate", {"kind": "threshold_var", "models": REGIMES,
+                          "partition": {"kind": "interval", "axis": 0, "breakpoints": [0.0],
+                                        "closed": "left"}}, "closed"),
+            ("simulate", {"kind": "threshold_var", "models": REGIMES,
+                          "partiton": {"kind": "interval", "axis": 0, "breakpoints": [0.0]}},
+             "partiton"),
+            ("diagnose", {"n_direction": 3, "includ_re": False}, "n_direction"),
+        ],
+        ids=["process", "noise", "interval", "partition", "diagnose"],
+    )
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, command, spec, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        argv = [command, "--spec", str(spec_path), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--n", "10"]
+        assert run(argv) == 1
+        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
 

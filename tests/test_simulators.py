@@ -345,3 +345,9 @@ class TestSeriesCsv:
         path.write_text("t,z1,z2\n0,1.0,2.0\n1,3.0\n2,4.0,5.0\n")
         with pytest.raises(ValueError, match="line 3 has 1 values, the header names 2"):
             read_series_csv(path)
+
+    def test_non_numeric_cell_names_line_and_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,z1,z2\nfirst,1.0,x\n")
+        with pytest.raises(ValueError, match="^line 2, column z2: 'x' is not a number$"):
+            read_series_csv(path)
