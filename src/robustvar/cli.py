@@ -145,8 +145,8 @@ def _cmd_fit(args) -> int:
         {"tool": "robustvar fit", "input": args.input, "lag": args.lag,
          "tau": args.tau, "b": args.b, "weight_form": args.weight_form,
          "lambda_mode": args.lambda_mode, "lambda": lam, "c": args.c,
-         "step": args.step, "tol": args.tol, "max_iter": args.max_iter,
-         "seed": args.seed, "outputs": [args.out]},
+         "step": args.step, "step_used": results[0].step, "tol": args.tol,
+         "max_iter": args.max_iter, "seed": args.seed, "outputs": [args.out]},
     )
     converged = sum(r.converged for r in results)
     print(
@@ -237,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="lambda_mode")
     pf.add_argument("--c", type=float, default=1.0)
     pf.add_argument("--lambda", type=float, default=0.0, dest="lam")
-    pf.add_argument("--step", type=float, default=0.9)
+    pf.add_argument("--step", type=float, default=None,
+                    help="fixed proximal-gradient step; by default 1/L, the inverse of the "
+                         "design's gradient Lipschitz bound")
     pf.add_argument("--tol", type=float, default=1e-4)
     pf.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
     pf.add_argument("--seed", type=int, default=0)

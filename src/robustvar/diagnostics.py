@@ -145,6 +145,15 @@ def diagnostics_replication(
     )
 
 
+def _check_int(name: str, value, low: int, high: int | None) -> None:
+    """Reject a non-integer ``value`` or one outside [low, high) (no upper bound if None)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value >= high):
+        bound = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def run_deviation_experiment(
     p: int,
     n: int,
@@ -167,6 +176,12 @@ def run_deviation_experiment(
     condition checks on the regression of the designated ``column`` with the
     theory-mode tuning value at constant ``c``.
     """
+    for name, value, low, high in (
+        ("p", p, 1, None), ("n", n, 2, None), ("replications", replications, 1, None),
+        ("burn_in", burn_in, 0, None), ("column", column, 0, p),
+        ("n_directions", n_directions, 1, None),
+    ):
+        _check_int(name, value, low, high)
     # local import: simulate depends on var which sits above this module
     from .simulate import StudentTNoise, VarTDgp, gen_er_transition, simulate
     from .var import VarModel, theory_lambda

@@ -83,7 +83,7 @@ class ExperimentSpec:
     c: float = CALIBRATED_C
     lam: float = 0.0
     burn_in: int = 500
-    step: float = 0.9
+    step: float | None = None  # None: 1/L of each fit's design
     tol: float = 1e-4
     max_iter: int = 10000
     output_dir: str = "."
@@ -97,6 +97,8 @@ class ExperimentSpec:
             raise ValueError("replications must be at least 1")
         if self.lambda_mode not in ("theory", "explicit"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
+        if self.step is not None and not self.step > 0:
+            raise ValueError(f"step must be positive or null, got {self.step}")
 
 
 def case1_small(seed: int = 0, replications: int = 20) -> ExperimentSpec:
@@ -178,9 +180,15 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             break
         except SimulationError as exc:
             log.warning("cell %d rep %d attempt %d: %s", cell_index, rep, attempt, exc)
-    if data is not None:  # the bound depends on the lag-1 design and b, not on tau
+    if data is not None and spec.step is not None:
+        # the bound depends on the lag-1 design and b, not on tau
         first = Regression(data[1:, 0], data[:-1])
         lip = gradient_lipschitz_bound(first, RobustConfig(tau=1.0, b=spec.b))
+        if spec.step * lip > 2.0:
+            log.warning(
+                "cell %d rep %d: step %.3g exceeds 2/L = %.3g, so descent is not guaranteed",
+                cell_index, rep, spec.step, 2.0 / lip,
+            )
     rows = []
     for tau in spec.tau_grid:
         fit = FitConfig(
@@ -202,11 +210,6 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             row.update(error=math.nan, iterations=0, converged=False)
             rows.append(row)
             continue
-        if spec.step > 1.0 / lip:
-            log.info(
-                "cell %d rep %d tau %g: step %.3g exceeds curvature bound 1/L = %.3g",
-                cell_index, rep, tau, spec.step, 1.0 / lip,
-            )
         est, results = fit_var(data, spec.d, fit)
         row.update(
             error=estimation_error(est, truth),

@@ -36,20 +36,21 @@ class DivergenceError(RuntimeError):
 class OptimizerConfig:
     """Settings for the proximal gradient loop.
 
-    ``safe_step=True`` replaces ``step`` by 0.99 over the instance's gradient
-    Lipschitz bound, which guarantees monotone descent of the penalized
-    objective.  ``record_trace`` stores that objective at every iteration.
+    ``step=None`` (the default) steps by 1/L, the inverse of the design's
+    gradient Lipschitz bound (:func:`gradient_lipschitz_bound`), which
+    guarantees monotone descent of the penalized objective; a float is used
+    as a fixed step instead.  ``record_trace`` stores that objective at every
+    iteration.
     """
 
-    step: float = 0.9
+    step: float | None = None
     tol: float = 1e-4
     max_iter: int = 10000
     seed: int = 0
-    safe_step: bool = False
     record_trace: bool = False
 
     def __post_init__(self):
-        if not self.step > 0:
+        if self.step is not None and not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
@@ -61,10 +62,13 @@ class OptimizerConfig:
 
 @dataclass
 class FitResult:
+    """One column's estimate, its stop state, and the step the solver used."""
+
     beta_hat: np.ndarray
     iterations: int
     final_change: float
     converged: bool
+    step: float
     objective_trace: np.ndarray | None = None
 
 
@@ -91,6 +95,14 @@ def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
 
 
+def _curvature_step(x: np.ndarray, w: np.ndarray) -> float:
+    """1/L for the design ``x`` with weights ``w``.  An all-zero design has
+    L = 0 and an identically zero gradient, so any finite step is exact there;
+    it gets step 1."""
+    lip = _lipschitz_bound(x, w)
+    return 1.0 / lip if lip > 0 else 1.0
+
+
 def proximal_gradient_fit(
     reg: Regression,
     cfg: RobustConfig,
@@ -108,7 +120,8 @@ def proximal_gradient_fit_columns(
 ) -> list[FitResult]:
     """Fit the k regressions of ``y`` (n, k) on the shared design ``x`` (n, q),
     both finite float64, together: one proximal gradient step (threshold
-    lam*step) for all running columns per iteration.  Column j starts from
+    lam*step, with the step of ``opt``, by default 1/L of ``x``) for all
+    running columns per iteration.  Column j starts from
     ``init_beta(q, column_seed(opt.seed, j))`` and stops on its own once its
     iterates move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
     if lam < 0:
@@ -116,7 +129,7 @@ def proximal_gradient_fit_columns(
     q, k = x.shape[1], y.shape[1]
     pen.check_coverage(q)
     w = mallows_weights(x, cfg)
-    step = 0.99 / _lipschitz_bound(x, w) if opt.safe_step else opt.step
+    step = _curvature_step(x, w) if opt.step is None else opt.step
     regs = [Regression(y[:, j], x) for j in range(k)] if opt.record_trace else None
     traces: list[list[float]] = [[] for _ in range(k)]
     results: list = [None] * k
@@ -135,7 +148,7 @@ def proximal_gradient_fit_columns(
         done = (change <= opt.tol) | (it == opt.max_iter)
         for i in np.flatnonzero(done):
             results[cols[i]] = FitResult(
-                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol),
+                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
                 None if regs is None else np.asarray(traces[cols[i]]),
             )
         if done.any():

@@ -64,7 +64,8 @@ class StudentTNoise:
 
 @dataclass(frozen=True)
 class GaussianNoise:
-    """Per-coordinate iid Gaussian noise; sd may be a scalar or a per-coordinate vector."""
+    """Per-coordinate iid Gaussian noise; sd may be a scalar or a per-coordinate vector,
+    which a process checks against its dimension."""
 
     sd: float | tuple[float, ...] = 1.0
 
@@ -72,7 +73,9 @@ class GaussianNoise:
         sd = np.atleast_1d(np.asarray(self.sd, dtype=np.float64))
         if np.any(sd < 0) or not np.all(np.isfinite(sd)):
             raise ValueError("sd must be finite and nonnegative")
-        if not np.isscalar(self.sd):
+        if np.ndim(self.sd) == 0:
+            object.__setattr__(self, "sd", float(self.sd))
+        else:
             object.__setattr__(self, "sd", tuple(sd.tolist()))
 
 
@@ -139,6 +142,9 @@ class IntervalPartition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
+        axis = self.axis
+        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
+            raise ValueError(f"partition axis must be a nonnegative integer, got {self.axis!r}")
         bp = tuple(float(b) for b in self.breakpoints)
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -172,6 +178,12 @@ def indicator_map(partition, z: np.ndarray) -> np.ndarray:
 # data-generating processes
 
 
+def _check_dimension(p: int, noise: NoiseSpec) -> None:
+    """Reject a noise ``sd`` vector that does not have one entry per coordinate."""
+    if isinstance(noise, GaussianNoise) and np.ndim(noise.sd) > 0 and len(noise.sd) != p:
+        raise ValueError(f"noise sd has {len(noise.sd)} entries, the process has p={p}")
+
+
 @dataclass(frozen=True)
 class VarTDgp:
     """Linear VAR driven by iid noise: Z_t = B_1'Z_{t-1} + ... + B_d'Z_{t-d} + e_t."""
@@ -180,6 +192,7 @@ class VarTDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
+        _check_dimension(self.model.p, self.noise)
         r = self.stability_radius()
         if r >= 1:
             raise StabilityError(f"companion spectral radius {r:.6f} >= 1")
@@ -215,6 +228,7 @@ class ArchVarDgp:
         p = b.shape[0]
         if b.shape != (p, p):
             raise ValueError("b must be square")
+        _check_dimension(p, self.noise)
         object.__setattr__(self, "b", b)
         if self.sigma_fn is not None:
             if self.f is not None or self.f_mats is not None:
@@ -270,6 +284,7 @@ class UnivariateArchDgp:
             raise ValueError("need one variance coefficient per lag")
         if any(dj < 0 for dj in self.d):
             raise ValueError("variance coefficients must be nonnegative")
+        _check_dimension(1, self.noise)
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         object.__setattr__(self, "d", tuple(float(v) for v in self.d))
         companion_r = spectral_radius(self.companion())
@@ -309,6 +324,7 @@ class BekkVarDgp:
         p = b.shape[0]
         if b.shape != (p, p) or c.shape != (p, p) or f.shape != (p, p):
             raise ValueError("b, c, f must all be p x p")
+        _check_dimension(p, self.noise)
         if np.linalg.eigvalsh((c + c.T) / 2.0)[0] <= 0:
             raise ValueError("c must be positive definite")
         object.__setattr__(self, "b", b)
@@ -353,6 +369,9 @@ class ThresholdVarDgp:
         p = mats[0].shape[0]
         if any(m.shape != (p, p) for m in mats):
             raise ValueError("all regime matrices must be p x p")
+        _check_dimension(p, self.noise)
+        if isinstance(self.partition, IntervalPartition) and self.partition.axis >= p:
+            raise ValueError(f"partition axis {self.partition.axis} is out of range for p={p}")
         if len(mats) != self.partition.n_regions:
             raise ValueError(
                 f"{len(mats)} regime matrices but partition has "
@@ -387,6 +406,7 @@ class RcVarDgp:
             raise ValueError("b must be square")
         if self.gamma_sd < 0:
             raise ValueError("gamma_sd must be nonnegative")
+        _check_dimension(p, self.noise)
         object.__setattr__(self, "b", b)
         r = self.stability_radius()
         if r >= 1:

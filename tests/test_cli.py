@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from robustvar import read_series_csv, read_var_model_csv
+from robustvar import (
+    Regression,
+    RobustConfig,
+    gradient_lipschitz_bound,
+    read_series_csv,
+    read_var_model_csv,
+)
 from robustvar.cli import cli_main, dgp_from_dict
 from robustvar.simulate import (
     ArchVarDgp,
@@ -85,6 +91,23 @@ class TestFitCommand:
         assert wide.shape == (5, 5)
         prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
         assert prov["lambda"] > 0
+
+    def test_step_provenance(self, tmp_path):
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--p", "3", "--df", "3", "--n", "40",
+                    "--burn-in", "50", "--seed", "6", "--out", str(data)]) == 0
+        series = read_series_csv(data)
+        lip = gradient_lipschitz_bound(
+            Regression(series[1:, 0], series[:-1]), RobustConfig(tau=1.0, b=3.0)
+        )
+        out = tmp_path / "bhat.csv"
+        common = ["fit", "--input", str(data), "--tau", "1", "--out", str(out)]
+        assert run(common) == 0
+        prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
+        assert prov["step"] is None and prov["step_used"] == 1.0 / lip
+        assert run([*common, "--step", "0.9"]) == 0
+        prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
+        assert prov["step"] == prov["step_used"] == 0.9
 
     def test_lag2_output_width(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -172,6 +195,36 @@ class TestUnknownSpecKeys:
             argv += ["--n", "10"]
         assert run(argv) == 1
         assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "command, spec, key",
+        [
+            ("simulate", {"kind": "threshold_var", "models": REGIMES,
+                          "partition": {"kind": "interval", "axis": 3, "breakpoints": [0.0]}},
+             "partition axis"),
+            ("simulate", {"kind": "var_t", "coeffs": [[[0.5, 0.0], [0.0, 0.3]]],
+                          "noise": {"kind": "gaussian", "sd": [1.0, 2.0, 3.0]}}, "noise sd"),
+            ("diagnose", {"p": 10.0}, "p must be an integer"),
+            ("diagnose", {"n": 1}, "n must be at least 2"),
+            ("diagnose", {"replications": 0}, "replications must be at least 1"),
+            ("diagnose", {"p": 5, "column": 12, "lambda": 0.5}, "column must be in [0, 5)"),
+            ("diagnose", {"n_directions": 2.5}, "n_directions must be an integer"),
+        ],
+        ids=["axis", "sd", "p", "n", "replications", "column", "n_directions"],
+    )
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, command, spec, key):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "out.csv"
+        argv = [command, "--spec", str(spec_path), "--out", str(out)]
+        if command == "simulate":
+            argv += ["--n", "10"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:") and key in err
         assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import xml.etree.ElementTree as ET
 
@@ -63,6 +64,8 @@ class TestSpecAndPresets:
             tiny_spec(tau_grid=())
         with pytest.raises(ValueError):
             tiny_spec(replications=0)
+        with pytest.raises(ValueError, match="step"):
+            tiny_spec(step=0.0)
 
     def test_spec_dict_roundtrip(self):
         spec = case3(p=30, seed=5)
@@ -105,6 +108,29 @@ class TestRunExperiment:
         assert len(rows) == 2
         assert all(math.isnan(r["error"]) for r in rows)
         assert all(not r["converged"] for r in rows)
+
+    def test_explicit_step_beyond_curvature_warns_once_per_replication(self, caplog):
+        spec = tiny_spec(replications=2, step=1e3, max_iter=5)
+        with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
+            run_experiment(spec)
+        warned = [r for r in caplog.records if "exceeds 2/L" in r.getMessage()]
+        assert len(warned) == 2
+        assert all(r.levelno == logging.WARNING for r in warned)
+
+    def test_explicit_step_within_curvature_is_silent(self, caplog):
+        with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
+            run_experiment(tiny_spec(step=1e-3, max_iter=5))
+        assert caplog.records == []
+
+    def test_default_step_skips_curvature_check(self, monkeypatch, caplog):
+        def boom(*a, **k):
+            raise AssertionError("curvature bound computed for the default step")
+
+        monkeypatch.setattr(exps, "gradient_lipschitz_bound", boom)
+        with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
+            rows = run_experiment(tiny_spec())
+        assert all(math.isfinite(r["error"]) for r in rows)
+        assert caplog.records == []
 
     def test_explicit_lambda_mode(self):
         rows = run_experiment(tiny_spec(lambda_mode="explicit", lam=0.25))

@@ -86,7 +86,7 @@ class TestProximalGradientFit:
         # weak-signal block shrunk harder than the active block
         assert np.linalg.norm(res.beta_hat[2:]) < np.linalg.norm(res.beta_hat[:2])
 
-    def test_monotone_descent_with_safe_step(self):
+    def test_monotone_descent_with_default_step(self):
         rng = np.random.default_rng(4)
         for k in range(5):
             n, q = 40, 4
@@ -94,10 +94,37 @@ class TestProximalGradientFit:
             y = x @ rng.standard_normal(q) + rng.standard_normal(n) * 2
             reg = Regression(y, x)
             cfg = RobustConfig(tau=1, b=3)
-            opt = OptimizerConfig(tol=1e-8, safe_step=True, record_trace=True, seed=k)
+            opt = OptimizerConfig(tol=1e-8, record_trace=True, seed=k)
             res = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.05, opt)
             trace = res.objective_trace
             assert np.all(np.diff(trace) <= 1e-10)
+
+    def test_default_step_is_inverse_curvature(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((60, 5)) * 2
+        reg = Regression(x @ rng.standard_normal(5) + rng.standard_t(3, 60), x)
+        cfg = RobustConfig(tau=1, b=3)
+        step = 1.0 / gradient_lipschitz_bound(reg, cfg)
+        default = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.05, OptimizerConfig(seed=3))
+        explicit = proximal_gradient_fit(
+            reg, cfg, Penalty("l1"), 0.05, OptimizerConfig(step=step, seed=3)
+        )
+        assert default.step == explicit.step == step
+        assert default.iterations == explicit.iterations
+        assert default.final_change == explicit.final_change
+        np.testing.assert_array_equal(default.beta_hat, explicit.beta_hat)
+
+    def test_fixed_step_is_reported(self):
+        reg = Regression(np.ones(4), np.eye(4)[:, :2])
+        res = proximal_gradient_fit(
+            reg, RobustConfig(tau=1, b=3), Penalty("l1"), 0.1, OptimizerConfig(step=0.9)
+        )
+        assert res.step == 0.9
+
+    def test_nonpositive_step_rejected(self):
+        for step in (0.0, -1.0):
+            with pytest.raises(ValueError, match="step must be positive"):
+                OptimizerConfig(step=step)
 
     def test_lipschitz_bound_dominates_weighted_gram(self):
         rng = np.random.default_rng(5)

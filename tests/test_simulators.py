@@ -306,6 +306,43 @@ class TestPartitions:
         with pytest.raises(ValueError):
             ThresholdVarDgp(models=(np.eye(2) * 0.5,), partition=SignPartition())
 
+    @pytest.mark.parametrize("axis", [-1, 1.0, True])
+    def test_axis_must_be_a_nonnegative_integer(self, axis):
+        with pytest.raises(ValueError, match="axis must be a nonnegative integer"):
+            IntervalPartition(axis=axis, breakpoints=(0.0,))
+
+    def test_axis_checked_against_dimension(self):
+        regimes = (np.eye(2) * 0.5, np.eye(2) * 0.3)
+        ThresholdVarDgp(models=regimes, partition=IntervalPartition(axis=1, breakpoints=(0.0,)))
+        with pytest.raises(ValueError, match="partition axis 2 is out of range for p=2"):
+            ThresholdVarDgp(models=regimes, partition=IntervalPartition(axis=2, breakpoints=(0.0,)))
+
+
+class TestNoiseDimension:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda noise: VarTDgp(VarModel((np.eye(2) * 0.5,)), noise),
+            lambda noise: ArchVarDgp(b=np.eye(2) * 0.5, f=(1.0, 1.0),
+                                     f_mats=(np.eye(2) * 0.1,) * 2, noise=noise),
+            lambda noise: BekkVarDgp(b=np.eye(2) * 0.5, c=np.eye(2), f=np.eye(2) * 0.1,
+                                     noise=noise),
+            lambda noise: ThresholdVarDgp(models=(np.eye(2) * 0.5,) * 2, noise=noise),
+            lambda noise: RcVarDgp(b=np.eye(2) * 0.5, gamma_sd=0.1, noise=noise),
+        ],
+        ids=["var_t", "arch_var", "bekk_var", "threshold_var", "rc_var"],
+    )
+    def test_sd_vector_must_match_p(self, make):
+        make(GaussianNoise((1.0, 2.0)))
+        make(GaussianNoise(2.0))
+        with pytest.raises(ValueError, match="noise sd has 3 entries, the process has p=2"):
+            make(GaussianNoise((1.0, 2.0, 3.0)))
+
+    def test_univariate_arch_takes_one_sd(self):
+        UnivariateArchDgp(b=(0.5,), d0=1.0, d=(0.1,), noise=GaussianNoise((2.0,)))
+        with pytest.raises(ValueError, match="noise sd has 2 entries, the process has p=1"):
+            UnivariateArchDgp(b=(0.5,), d0=1.0, d=(0.1,), noise=GaussianNoise((1.0, 2.0)))
+
 
 class TestRcSecondMoment:
     def test_kron_expectation_matches_monte_carlo(self):

@@ -18,6 +18,7 @@ from robustvar import (
     decompose_regressions,
     estimation_error,
     fit_var,
+    gradient_lipschitz_bound,
     proximal_gradient_fit,
     read_var_model_csv,
     rescale_to_radius,
@@ -191,7 +192,7 @@ class TestFitVar:
         fit = FitConfig(
             robust=RobustConfig(tau=1e8, b=1e8),
             lambda_mode="explicit", lam=0.0,
-            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=0, safe_step=True),
+            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=0),
         )
         est, _ = fit_var(data, 1, fit)
         assert estimation_error(est, VarModel((b,))) <= 1e-3
@@ -261,16 +262,38 @@ class TestFitVar:
         for t in range(1, 400):
             data[t] = b.T @ data[t - 1] + noise[t]
         perm = np.array([2, 0, 3, 1])
-        # safe step: the fixed 0.9 step exceeds 2/L on this instance
+        # the default step 1/L: a fixed 0.9 step exceeds 2/L on this instance
         fit = FitConfig(
             robust=RobustConfig(tau=1e8, b=1e8),
             lambda_mode="explicit", lam=0.0,
-            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=3, safe_step=True),
+            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=3),
         )
         est1, _ = fit_var(data, 1, fit)
         est2, _ = fit_var(data[:, perm], 1, fit)
         b1, b2 = est1.coeffs[0], est2.coeffs[0]
         np.testing.assert_allclose(b2, b1[np.ix_(perm, perm)], atol=1e-7)
+
+    @pytest.mark.parametrize("lam_mode, lam", [("theory", 0.0), ("explicit", 0.05)])
+    def test_zero_design_gives_zero_matrix(self, lam_mode, lam):
+        # L = 0 and the gradient vanishes, so only the penalty acts
+        fit = FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lambda_mode=lam_mode, lam=lam)
+        est, results = fit_var(np.zeros((20, 3)), 1, fit)
+        np.testing.assert_array_equal(est.coeffs[0], np.zeros((3, 3)))
+        assert all(r.converged for r in results)
+        assert all(r.step == 1.0 for r in results)
+
+    def test_default_step_matches_explicit_inverse_curvature(self):
+        rng = np.random.default_rng(10)
+        data = rng.standard_t(3, (60, 4))
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        # the bound depends on the shared lag-1 design only
+        step = 1.0 / gradient_lipschitz_bound(Regression(data[1:, 0], data[:-1]), cfg)
+        fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=OptimizerConfig(seed=4))
+        est, results = fit_var(data, 1, fit)
+        est2, results2 = fit_var(data, 1, replace(fit, opt=OptimizerConfig(step=step, seed=4)))
+        np.testing.assert_array_equal(est.coeffs[0], est2.coeffs[0])
+        assert [r.iterations for r in results] == [r.iterations for r in results2]
+        assert all(r.step == step for r in results)
 
     def test_theory_mode_uses_regression_rows(self):
         rng = np.random.default_rng(9)
