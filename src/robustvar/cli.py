@@ -183,8 +183,13 @@ def _cmd_diagnose(args) -> int:
               "seed": 0, "include_re": True, **doc}
     lam_fixed = kwargs.pop("lambda", None)
     if lam_fixed is not None:
+        p, n = kwargs["p"], kwargs["n"]
+        diag._check_int("p", p, 1, None)
+        diag._check_int("n", n, 2, None)
+        if p < 2:
+            raise ValueError(f"lambda needs p >= 2, got p={p}: the theory value it rescales is 0")
         unit = RobustConfig(tau=kwargs["tau"], b=kwargs["b"])
-        kwargs["c"] = lam_fixed / theory_lambda(kwargs["p"], 1, kwargs["n"] - 1, unit, 1.0)
+        kwargs["c"] = lam_fixed / theory_lambda(p, 1, n - 1, unit, 1.0)
     elif kwargs.get("c") is None:
         kwargs["c"] = CALIBRATED_C
     reports = diag.run_deviation_experiment(**kwargs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -56,22 +57,29 @@ RNG_ID = "numpy PCG64; streams derived by splitmix64 over (seed, cell, rep)"
 # least 90% of replications, and frozen here.
 CALIBRATED_C = 0.45
 
-CSV_FIELDS = [
-    "case", "p", "n", "d", "df", "tau", "lambda", "rep",
-    "error", "iterations", "converged", "seed",
-]
+# the results CSV columns in order, with the type each value is read back as
+CSV_SCHEMA = (
+    ("case", str), ("p", int), ("n", int), ("d", int), ("df", float), ("tau", float),
+    ("lambda", float), ("rep", int), ("error", float), ("iterations", int),
+    ("converged", bool), ("seed", int),
+)
+CSV_FIELDS = [name for name, _ in CSV_SCHEMA]
 
 MAX_PATH_RETRIES = 10
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a case label, parameter grids, and run bookkeeping."""
+    """One experiment: a case label, parameter grids, and run bookkeeping.
+
+    Every fit is lag 1.  Construction builds the fit settings of each tau
+    level and the noise of each df, so a value their classes reject fails
+    here, before any path is simulated.
+    """
 
     case: str = "custom"
     p: int = 10
     n_grid: tuple[int, ...] = (30,)
-    d: int = 1
     df_grid: tuple[float, ...] = (3.0,)
     tau_grid: tuple[float, ...] = (1.0, 10.0)
     replications: int = 10
@@ -95,10 +103,24 @@ class ExperimentSpec:
             raise ValueError("grids must be nonempty")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.lambda_mode not in ("theory", "explicit"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.step is not None and not self.step > 0:
-            raise ValueError(f"step must be positive or null, got {self.step}")
+        for tau in self.tau_grid:
+            self.fit_config(tau, 0)
+        for df in self.df_grid:
+            StudentTNoise(df)
+
+    def fit_config(self, tau: float, seed: int) -> FitConfig:
+        """Settings of the l1 fits at robustification level ``tau``, whose
+        solver starts from points seeded by ``seed``."""
+        return FitConfig(
+            robust=RobustConfig(tau=tau, b=self.b),
+            penalty=Penalty("l1"),
+            lambda_mode=self.lambda_mode,
+            lam=self.lam,
+            c=self.c,
+            opt=OptimizerConfig(
+                step=self.step, tol=self.tol, max_iter=self.max_iter, seed=seed,
+            ),
+        )
 
 
 def case1_small(seed: int = 0, replications: int = 20) -> ExperimentSpec:
@@ -153,17 +175,6 @@ def case3(p: int = 10, seed: int = 0, replications: int = 20) -> ExperimentSpec:
     )
 
 
-def _cells(spec: ExperimentSpec) -> list[tuple[int, float, int]]:
-    """Data-generating grid cells as (cell_index, df, n)."""
-    out = []
-    ci = 0
-    for df in spec.df_grid:
-        for n in spec.n_grid:
-            out.append((ci, df, n))
-            ci += 1
-    return out
-
-
 def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dict]:
     """All rows for one (grid cell, replication): one row per tau level."""
     spec, cell_index, df, n, rep = args
@@ -191,26 +202,16 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             )
     rows = []
     for tau in spec.tau_grid:
-        fit = FitConfig(
-            robust=RobustConfig(tau=tau, b=spec.b),
-            penalty=Penalty("l1"),
-            lambda_mode=spec.lambda_mode,
-            lam=spec.lam,
-            c=spec.c,
-            opt=OptimizerConfig(
-                step=spec.step, tol=spec.tol, max_iter=spec.max_iter,
-                seed=derive_seed(rep_seed, 2),
-            ),
-        )
+        fit = spec.fit_config(tau, derive_seed(rep_seed, 2))
         row = {
-            "case": spec.case, "p": spec.p, "n": n, "d": spec.d, "df": df, "tau": tau,
-            "lambda": fit.lambda_for(spec.p, spec.d, n - spec.d), "rep": rep, "seed": rep_seed,
+            "case": spec.case, "p": spec.p, "n": n, "d": 1, "df": df, "tau": tau,
+            "lambda": fit.lambda_for(spec.p, 1, n - 1), "rep": rep, "seed": rep_seed,
         }
         if data is None:
             row.update(error=math.nan, iterations=0, converged=False)
             rows.append(row)
             continue
-        est, results = fit_var(data, spec.d, fit)
+        est, results = fit_var(data, 1, fit)
         row.update(
             error=estimation_error(est, truth),
             iterations=max(r.iterations for r in results),
@@ -228,15 +229,11 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     Output is identical for any worker count: tasks are seeded independently
     and merged in grid order.
     """
-    if spec.d != 1:
-        raise ValueError("the experiment harness generates lag-1 benchmarks only")
     if workers is None:
         workers = int(os.environ.get("ROBUSTVAR_WORKERS", "1"))
-    tasks = [
-        (spec, ci, df, n, rep)
-        for (ci, df, n) in _cells(spec)
-        for rep in range(spec.replications)
-    ]
+    # cell indices seed the replications, so this (df, n) order is fixed
+    cells = enumerate(itertools.product(spec.df_grid, spec.n_grid))
+    tasks = [(spec, ci, df, n, rep) for ci, (df, n) in cells for rep in range(spec.replications)]
     if workers <= 1:
         chunks = map(_run_cell_rep, tasks)
     else:
@@ -266,14 +263,16 @@ def aggregate(rows: list[dict], x_field: str, series_field: str) -> dict:
     return out
 
 
-def _format_field(name: str, value) -> str:
-    if name in ("p", "n", "d", "rep", "iterations", "seed"):
-        return str(int(value))
-    if name == "case":
-        return str(value)
-    if name == "converged":
+def _format_field(kind: type, value) -> str:
+    if kind is bool:
         return "true" if value else "false"
-    return format(float(value), ".17g")
+    if kind is float:
+        return format(float(value), ".17g")
+    return str(kind(value))
+
+
+def _parse_field(kind: type, text: str):
+    return text == "true" if kind is bool else kind(text)
 
 
 def emit_csv(rows: list[dict], path) -> None:
@@ -283,38 +282,21 @@ def emit_csv(rows: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_FIELDS) + "\n")
         for row in rows:
-            fh.write(",".join(_format_field(f, row[f]) for f in CSV_FIELDS) + "\n")
+            fh.write(",".join(_format_field(kind, row[f]) for f, kind in CSV_SCHEMA) + "\n")
 
 
 def read_results_csv(path) -> list[dict]:
     """Parse a results CSV back into typed row dicts (inverse of emit_csv)."""
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_FIELDS:
             raise ValueError(f"unexpected header {reader.fieldnames}")
-        for rec in reader:
-            rows.append(
-                {
-                    "case": rec["case"],
-                    "p": int(rec["p"]),
-                    "n": int(rec["n"]),
-                    "d": int(rec["d"]),
-                    "df": float(rec["df"]),
-                    "tau": float(rec["tau"]),
-                    "lambda": float(rec["lambda"]),
-                    "rep": int(rec["rep"]),
-                    "error": float(rec["error"]),
-                    "iterations": int(rec["iterations"]),
-                    "converged": rec["converged"] == "true",
-                    "seed": int(rec["seed"]),
-                }
-            )
-    return rows
+        return [{f: _parse_field(kind, rec[f]) for f, kind in CSV_SCHEMA} for rec in reader]
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return dataclasses.asdict(spec)
+    # every field is a scalar or a tuple of scalars, so no deep copy is needed
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:

@@ -44,9 +44,9 @@ class RobustConfig:
     _shrink_min_eig: float = field(init=False, repr=False, default=1.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
+        if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (np.isfinite(self.b) and self.b > 0):
+        if not (math.isfinite(self.b) and self.b > 0):
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if self.weight_form not in ("linear", "quadratic"):
             raise ValueError(f"unknown weight_form {self.weight_form!r}")

@@ -139,6 +139,7 @@ def proximal_gradient_fit_columns(
         stepped = beta - step * robust_gradient_columns(x, y, beta, w, cfg.tau)
         if not np.all(np.isfinite(stepped)):
             raise DivergenceError(it, int(cols[np.argmin(np.isfinite(stepped).all(axis=0))]))
+        # unvalidated prox: stepped is finite, lam * step >= 0, groups checked above
         beta_new = prox(pen, stepped, lam * step)
         change = np.linalg.norm(beta_new - beta, axis=0)
         beta = beta_new

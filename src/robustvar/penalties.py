@@ -73,29 +73,38 @@ def dual_value(pen: Penalty, v: np.ndarray) -> float:
     return float(max(np.linalg.norm(v[list(g)]) for g in pen.groups))
 
 
+def _checked(v: np.ndarray, alpha: float, who: str) -> np.ndarray:
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{who} requires finite input")
+    return v
+
+
 def soft_threshold(v: np.ndarray, alpha: float) -> np.ndarray:
     """Coordinatewise shrinkage sign(v) * (|v| - alpha)_+.
 
     Exact minimizer of 0.5*||z - v||^2 + alpha*||z||_1.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("soft_threshold requires finite input")
-    return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
+    return prox(Penalty("l1"), _checked(v, alpha, "soft_threshold"), alpha)
 
 
 def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarray:
     """Blockwise shrinkage v_G * (1 - alpha/||v_G||)_+ per column, zeroing small blocks."""
     if pen.kind != "group":
         raise ValueError("group_soft_threshold requires a group penalty")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("group_soft_threshold requires finite input")
+    v = _checked(v, alpha, "group_soft_threshold")
     pen.check_coverage(v.shape[0])
+    return prox(pen, v, alpha)
+
+
+def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:
+    """Proximal operator of alpha times the penalty norm, applied to each column
+    of the finite float64 (q, k) matrix ``v``, for alpha >= 0 and, with a group
+    penalty, groups that partition the q rows; inputs are not validated."""
+    if pen.kind == "l1":
+        return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
     out = np.zeros_like(v)
     for g in pen.groups:
         idx = list(g)
@@ -103,10 +112,3 @@ def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarra
         keep = nrm > alpha
         out[idx] = v[idx] * np.where(keep, 1.0 - alpha / np.where(keep, nrm, 1.0), 0.0)
     return out
-
-
-def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:
-    """Proximal operator of alpha times the penalty norm, column by column."""
-    if pen.kind == "l1":
-        return soft_threshold(v, alpha)
-    return group_soft_threshold(v, pen, alpha)

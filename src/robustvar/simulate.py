@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import derive_seed
-from .var import VarModel, companion_matrix, rescale_to_radius, spectral_radius
+from .var import VarModel, companion_matrix, spectral_radius
 
 __all__ = [
     "StabilityError",
@@ -59,7 +59,7 @@ class StudentTNoise:
 
     def __post_init__(self):
         if not self.df > 2:
-            raise ValueError(f"degrees of freedom must exceed 2, got {self.df}")
+            raise ValueError(f"df must exceed 2, got {self.df}")
 
 
 @dataclass(frozen=True)
@@ -452,8 +452,9 @@ def gen_er_transition(
                 break
             vals[zeros] = rng.uniform(-1.0, 1.0, int(zeros.sum()))
         b = np.where(mask, vals, 0.0)
-        if spectral_radius(b) > 0.0:
-            return rescale_to_radius(b, rho_target)
+        r = spectral_radius(b)
+        if r > 0.0:
+            return b * (rho_target / r)
     raise RuntimeError(
         f"no draw with positive spectral radius in {max_attempts} attempts "
         f"(p={p}, density={density})"

@@ -79,9 +79,9 @@ class FitConfig:
         if self.lambda_mode not in ("theory", "explicit"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.lambda_mode == "explicit" and self.lam < 0:
-            raise ValueError("explicit lambda must be nonnegative")
+            raise ValueError(f"explicit lambda lam must be nonnegative, got {self.lam}")
         if self.lambda_mode == "theory" and not self.c > 0:
-            raise ValueError("theory-mode constant c must be positive")
+            raise ValueError(f"theory-mode constant c must be positive, got {self.c}")
 
     def lambda_for(self, p: int, d: int, n: int) -> float:
         """The tuning value for p columns at lag d with n usable rows."""

@@ -142,6 +142,25 @@ class TestExperimentCommand:
         prov = json.loads((base.parent / "case1_df_sweep.provenance.json").read_text())
         assert prov["spec"]["p"] == 4
 
+    def test_bad_value_fails_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr("robustvar.experiments.simulate", no_simulate)
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"tol": 0, "output_dir": str(tmp_path / "out")}))
+        assert run(["experiment", "--spec", str(spec_path), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: tol must be positive")
+        assert not (tmp_path / "out").exists()
+
+    def test_lag_key_rejected(self, tmp_path, capsys):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"d": 1, "output_dir": str(tmp_path / "out")}))
+        assert run(["experiment", "--spec", str(spec_path)]) == 1
+        assert "unexpected keyword argument 'd'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDiagnoseCommand:
     def test_writes_reports(self, tmp_path):
@@ -212,8 +231,11 @@ class TestBadValues:
             ("diagnose", {"replications": 0}, "replications must be at least 1"),
             ("diagnose", {"p": 5, "column": 12, "lambda": 0.5}, "column must be in [0, 5)"),
             ("diagnose", {"n_directions": 2.5}, "n_directions must be an integer"),
+            ("diagnose", {"n": 1, "lambda": 0.5}, "n must be at least 2"),
+            ("diagnose", {"p": 1, "lambda": 0.5}, "lambda needs p >= 2, got p=1"),
         ],
-        ids=["axis", "sd", "p", "n", "replications", "column", "n_directions"],
+        ids=["axis", "sd", "p", "n", "replications", "column", "n_directions",
+             "lambda_n", "lambda_p"],
     )
     def test_exits_1_naming_the_field(self, tmp_path, capsys, command, spec, key):
         spec_path = tmp_path / "spec.json"

@@ -66,6 +66,17 @@ class TestSpecAndPresets:
             tiny_spec(replications=0)
         with pytest.raises(ValueError, match="step"):
             tiny_spec(step=0.0)
+        for bad, field in [
+            ({"tau_grid": (0.0,)}, "tau"),
+            ({"b": 0}, "b"),
+            ({"c": -1}, "c"),
+            ({"lambda_mode": "explicit", "lam": -1}, "lam"),
+            ({"tol": 0}, "tol"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"df_grid": (2.0,)}, "df"),
+        ]:
+            with pytest.raises(ValueError, match=rf"\b{field}\b"):
+                tiny_spec(**bad)
 
     def test_spec_dict_roundtrip(self):
         spec = case3(p=30, seed=5)

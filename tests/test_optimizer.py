@@ -75,14 +75,20 @@ class TestProximalGradientFit:
             f_cd = robust_objective(reg, ref, cfg) + lam * penalty_value(pen, ref)
             assert f_pg <= f_cd + 1e-6
 
-    def test_group_penalty_runs(self):
+    def test_group_penalty_runs(self, monkeypatch):
+        checked = []
+        check = Penalty.check_coverage
+        monkeypatch.setattr(
+            Penalty, "check_coverage", lambda pen, q: checked.append(q) or check(pen, q)
+        )
         rng = np.random.default_rng(3)
         x = rng.standard_normal((40, 4))
         y = x @ np.array([1.0, 0.5, 0.0, 0.0]) + 0.1 * rng.standard_normal(40)
         reg = Regression(y, x)
         pen = Penalty("group", groups=((0, 1), (2, 3)))
         res = proximal_gradient_fit(reg, RobustConfig(tau=2, b=5), pen, 0.2, OptimizerConfig(seed=4))
-        assert res.converged
+        assert res.converged and res.iterations > 1
+        assert checked == [4]  # the groups are checked once per fit, not per iteration
         # weak-signal block shrunk harder than the active block
         assert np.linalg.norm(res.beta_hat[2:]) < np.linalg.norm(res.beta_hat[:2])
 
