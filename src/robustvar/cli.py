@@ -13,10 +13,11 @@ import os
 import sys
 
 from ._seeds import derive_seed
-from . import diagnostics as diag
+from .diagnostics import write_reports_csv
 from .experiments import (
     CALIBRATED_C,
     emit_csv,
+    run_deviation_experiment,
     run_experiment,
     spec_from_dict,
     spec_to_dict,
@@ -50,7 +51,6 @@ from .var import (
     fit_var,
     read_var_model_csv,
     spectral_radius,
-    theory_lambda,
     write_var_model_csv,
 )
 
@@ -178,22 +178,14 @@ def _cmd_experiment(args) -> int:
 def _cmd_diagnose(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    # the spec's keys are run_deviation_experiment's parameters plus "lambda"
+    # the spec's keys are run_deviation_experiment's parameters, with "lambda" for lam
     kwargs = {"p": 10, "n": 30, "df": 3.0, "tau": 1.0, "b": 3.0, "replications": 200,
               "seed": 0, "include_re": True, **doc}
-    lam_fixed = kwargs.pop("lambda", None)
-    if lam_fixed is not None:
-        p, n = kwargs["p"], kwargs["n"]
-        diag._check_int("p", p, 1, None)
-        diag._check_int("n", n, 2, None)
-        if p < 2:
-            raise ValueError(f"lambda needs p >= 2, got p={p}: the theory value it rescales is 0")
-        unit = RobustConfig(tau=kwargs["tau"], b=kwargs["b"])
-        kwargs["c"] = lam_fixed / theory_lambda(p, 1, n - 1, unit, 1.0)
-    elif kwargs.get("c") is None:
+    lam = kwargs.pop("lambda", None)
+    if kwargs.get("c") is None:
         kwargs["c"] = CALIBRATED_C
-    reports = diag.run_deviation_experiment(**kwargs)
-    diag.write_reports_csv(reports, args.out)
+    reports = run_deviation_experiment(**kwargs, lam=lam)
+    write_reports_csv(reports, args.out)
     write_provenance(
         args.out + ".provenance.json",
         {"tool": "robustvar diagnose", "spec": doc, "seed": kwargs["seed"], "outputs": [args.out]},

@@ -3,7 +3,9 @@
 The deviation check compares the dual norm of the loss gradient at the true
 parameter against half the tuning value; the curvature check probes the
 Taylor remainder of the loss along random sparse directions and reports the
-smallest remainder-to-squared-norm ratio observed.
+smallest remainder-to-squared-norm ratio observed.  Both work on a
+``Regression`` with known truth; the replicated run over the benchmark
+generator is ``experiments.run_deviation_experiment``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import derive_seed
 from .losses import Regression, RobustConfig, mallows_weights, robust_gradient, robust_objective
 from .penalties import Penalty, dual_value
 
@@ -143,69 +144,6 @@ def diagnostics_replication(
         re_directions=n_dirs,
         min_direction=min_dir,
     )
-
-
-def _check_int(name: str, value, low: int, high: int | None) -> None:
-    """Reject a non-integer ``value`` or one outside [low, high) (no upper bound if None)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value >= high):
-        bound = f"at least {low}" if high is None else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-def run_deviation_experiment(
-    p: int,
-    n: int,
-    df: float,
-    tau: float,
-    b: float,
-    c: float,
-    replications: int,
-    seed: int,
-    density: float = 0.05,
-    rho_target: float = 0.5,
-    burn_in: int = 500,
-    column: int = 0,
-    n_directions: int = 200,
-    include_re: bool = False,
-) -> list[DiagnosticsReport]:
-    """Replicated diagnostics on the benchmark sparse-VAR generator.
-
-    Each replication draws a fresh transition matrix and path, then runs the
-    condition checks on the regression of the designated ``column`` with the
-    theory-mode tuning value at constant ``c``.
-    """
-    for name, value, low, high in (
-        ("p", p, 1, None), ("n", n, 2, None), ("replications", replications, 1, None),
-        ("burn_in", burn_in, 0, None), ("column", column, 0, p),
-        ("n_directions", n_directions, 1, None),
-    ):
-        _check_int(name, value, low, high)
-    # local import: simulate depends on var which sits above this module
-    from .simulate import StudentTNoise, VarTDgp, gen_er_transition, simulate
-    from .var import VarModel, theory_lambda
-
-    cfg = RobustConfig(tau=tau, b=b)
-    pen = Penalty("l1")
-    lam = theory_lambda(p, 1, n - 1, cfg, c)
-    reports = []
-    for rep in range(replications):
-        rep_seed = derive_seed(seed, rep)
-        b_mat = gen_er_transition(p, density, rho_target, derive_seed(rep_seed, 0))
-        truth = VarModel((b_mat,))
-        data = simulate(
-            VarTDgp(truth, StudentTNoise(df)), n, burn_in, derive_seed(rep_seed, 1)
-        )
-        reg = Regression(data[1:, column], data[:-1])
-        reports.append(
-            diagnostics_replication(
-                reg, truth.stacked()[:, column], cfg, pen, lam,
-                seed=derive_seed(rep_seed, 2), n_directions=n_directions,
-                include_re=include_re,
-            )
-        )
-    return reports
 
 
 def write_reports_csv(reports: list[DiagnosticsReport], path) -> None:

@@ -6,6 +6,9 @@ size); every robustification level in ``tau_grid`` is fit on the same
 simulated path of that cell, so comparisons across levels are paired.
 Per-cell, per-replication seeds are derived deterministically from the spec
 seed, which makes the emitted CSV byte-identical for any worker count.
+
+``run_deviation_experiment`` checks the deviation condition on the same
+generator instead of fitting; both check its settings once, up front.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_int
 from ._seeds import derive_seed
+from .diagnostics import DiagnosticsReport, diagnostics_replication
 from .losses import Regression, RobustConfig
 from .optimizer import OptimizerConfig, gradient_lipschitz_bound
 from .penalties import Penalty
 from .simulate import SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate
+from .simulate import _check_er_settings
 from .var import FitConfig, VarModel, estimation_error, fit_var
 
 __all__ = [
@@ -39,6 +45,7 @@ __all__ = [
     "case2",
     "case3",
     "run_experiment",
+    "run_deviation_experiment",
     "aggregate",
     "emit_csv",
     "read_results_csv",
@@ -68,13 +75,25 @@ CSV_FIELDS = [name for name, _ in CSV_SCHEMA]
 MAX_PATH_RETRIES = 10
 
 
+def _check_generator(p: int, n_values, replications: int, burn_in: int,
+                     density: float, rho_target: float) -> None:
+    """Reject settings of the sparse VAR-t study generator that cannot run:
+    the theory lambda is 0 at p=1, and a lag-1 fit needs at least 2 rows."""
+    _check_int("p", p, 2)
+    for n in n_values:
+        _check_int("n", n, 2)
+    _check_int("replications", replications, 1)
+    _check_int("burn_in", burn_in, 0)
+    _check_er_settings(density, rho_target)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a case label, parameter grids, and run bookkeeping.
 
-    Every fit is lag 1.  Construction builds the fit settings of each tau
-    level and the noise of each df, so a value their classes reject fails
-    here, before any path is simulated.
+    Every fit is lag 1.  Construction checks the generator settings and seed
+    and builds the fit settings of each tau and the noise of each df, so a
+    value they reject fails here, before any path is simulated.
     """
 
     case: str = "custom"
@@ -101,8 +120,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown case {self.case!r}")
         if not (self.n_grid and self.df_grid and self.tau_grid):
             raise ValueError("grids must be nonempty")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        _check_generator(self.p, self.n_grid, self.replications, self.burn_in,
+                         self.density, self.rho_target)
+        _check_int("seed", self.seed)
         for tau in self.tau_grid:
             self.fit_config(tau, 0)
         for df in self.df_grid:
@@ -240,6 +260,48 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_cell_rep, tasks, chunksize=1))
     return [row for chunk in chunks for row in chunk]
+
+
+def run_deviation_experiment(
+    p: int,
+    n: int,
+    df: float,
+    tau: float,
+    b: float,
+    c: float,
+    replications: int,
+    seed: int,
+    density: float = 0.05,
+    rho_target: float = 0.5,
+    burn_in: int = 500,
+    column: int = 0,
+    n_directions: int = 200,
+    include_re: bool = False,
+    lam: float | None = None,
+) -> list[DiagnosticsReport]:
+    """Replicated diagnostics on the study's sparse VAR-t generator.
+
+    Each replication draws a fresh transition matrix and path, then runs the
+    condition checks on the regression of the designated ``column`` with the
+    lag-1 tuning value: ``lam`` exactly if given, else the theory value at ``c``.
+    """
+    _check_generator(p, (n,), replications, burn_in, density, rho_target)
+    _check_int("column", column, 0, p)
+    _check_int("n_directions", n_directions, 1)
+    mode, fixed = ("theory", 0.0) if lam is None else ("explicit", lam)
+    fit = FitConfig(RobustConfig(tau=tau, b=b), lambda_mode=mode, lam=fixed, c=c)
+    lam = fit.lambda_for(p, 1, n - 1)
+    reports = []
+    for rep in range(replications):
+        rep_seed = derive_seed(seed, rep)
+        truth = VarModel((gen_er_transition(p, density, rho_target, derive_seed(rep_seed, 0)),))
+        data = simulate(VarTDgp(truth, StudentTNoise(df)), n, burn_in, derive_seed(rep_seed, 1))
+        reg = Regression(data[1:, column], data[:-1])
+        reports.append(diagnostics_replication(
+            reg, truth.stacked()[:, column], fit.robust, fit.penalty, lam,
+            seed=derive_seed(rep_seed, 2), n_directions=n_directions, include_re=include_re,
+        ))
+    return reports
 
 
 def aggregate(rows: list[dict], x_field: str, series_field: str) -> dict:

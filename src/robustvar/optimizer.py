@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_int
 from ._seeds import column_seed
-from .losses import Regression, RobustConfig, mallows_weights, robust_objective
-from .losses import robust_gradient_columns
-from .penalties import Penalty, penalty_value, prox
+from .losses import Regression, RobustConfig, mallows_weights, robust_gradient_columns
+from .penalties import Penalty, prox
 
 __all__ = [
     "OptimizerConfig",
@@ -39,25 +39,21 @@ class OptimizerConfig:
     ``step=None`` (the default) steps by 1/L, the inverse of the design's
     gradient Lipschitz bound (:func:`gradient_lipschitz_bound`), which
     guarantees monotone descent of the penalized objective; a float is used
-    as a fixed step instead.  ``record_trace`` stores that objective at every
-    iteration.
+    as a fixed step instead.
     """
 
     step: float | None = None
     tol: float = 1e-4
     max_iter: int = 10000
     seed: int = 0
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.step is not None and not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_int("max_iter", self.max_iter, 1)
+        _check_int("seed", self.seed, 0, 2**64)
 
 
 @dataclass
@@ -69,7 +65,6 @@ class FitResult:
     final_change: float
     converged: bool
     step: float
-    objective_trace: np.ndarray | None = None
 
 
 def init_beta(q: int, seed: int) -> np.ndarray:
@@ -130,8 +125,6 @@ def proximal_gradient_fit_columns(
     pen.check_coverage(q)
     w = mallows_weights(x, cfg)
     step = _curvature_step(x, w) if opt.step is None else opt.step
-    regs = [Regression(y[:, j], x) for j in range(k)] if opt.record_trace else None
-    traces: list[list[float]] = [[] for _ in range(k)]
     results: list = [None] * k
     beta = np.column_stack([init_beta(q, column_seed(opt.seed, j)) for j in range(k)])
     cols = np.arange(k)  # index of each running column in the input
@@ -143,14 +136,10 @@ def proximal_gradient_fit_columns(
         beta_new = prox(pen, stepped, lam * step)
         change = np.linalg.norm(beta_new - beta, axis=0)
         beta = beta_new
-        for i, j in enumerate(cols if regs is not None else ()):
-            f = robust_objective(regs[j], beta[:, i], cfg, weights=w)
-            traces[j].append(f + lam * penalty_value(pen, beta[:, i]))
         done = (change <= opt.tol) | (it == opt.max_iter)
         for i in np.flatnonzero(done):
             results[cols[i]] = FitResult(
-                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
-                None if regs is None else np.asarray(traces[cols[i]]),
+                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step
             )
         if done.any():
             cols, beta, y = cols[~done], beta[:, ~done], y[:, ~done]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _check_int
 from ._seeds import derive_seed
 from .var import VarModel, companion_matrix, spectral_radius
 
@@ -142,9 +143,7 @@ class IntervalPartition:
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
-        axis = self.axis
-        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or axis < 0:
-            raise ValueError(f"partition axis must be a nonnegative integer, got {self.axis!r}")
+        _check_int("partition axis", self.axis, 0)
         bp = tuple(float(b) for b in self.breakpoints)
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -428,6 +427,14 @@ DgpSpec = (
 # generation
 
 
+def _check_er_settings(density: float, rho_target: float) -> None:
+    """Reject a sparse-transition density outside (0, 1] or a nonpositive target radius."""
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    if not rho_target > 0:
+        raise ValueError(f"rho_target must be positive, got {rho_target}")
+
+
 def gen_er_transition(
     p: int, density: float, rho_target: float, seed: int, max_attempts: int = 100
 ) -> np.ndarray:
@@ -438,10 +445,7 @@ def gen_er_transition(
     radius vanishes (e.g. an all-zero or nilpotent pattern) are regenerated
     from the next substream.
     """
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    if not rho_target > 0:
-        raise ValueError(f"rho_target must be positive, got {rho_target}")
+    _check_er_settings(density, rho_target)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(derive_seed(seed, attempt))
         mask = rng.random((p, p)) < density

@@ -14,8 +14,13 @@ import pytest
 
 import robustvar as rv
 from robustvar import CALIBRATED_C
-from robustvar.diagnostics import run_deviation_experiment
-from robustvar.experiments import ExperimentSpec, aggregate, emit_csv, run_experiment
+from robustvar.experiments import (
+    ExperimentSpec,
+    aggregate,
+    emit_csv,
+    run_deviation_experiment,
+    run_experiment,
+)
 from robustvar.simulate import (
     ArchVarDgp,
     BekkVarDgp,

@@ -148,11 +148,13 @@ class TestExperimentCommand:
 
         monkeypatch.setattr("robustvar.experiments.simulate", no_simulate)
         spec_path = tmp_path / "exp.json"
-        spec_path.write_text(json.dumps({"tol": 0, "output_dir": str(tmp_path / "out")}))
-        assert run(["experiment", "--spec", str(spec_path), "--workers", "2"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: tol must be positive")
-        assert not (tmp_path / "out").exists()
+        for bad, message in [({"tol": 0}, "tol must be positive"),
+                             ({"n_grid": [1]}, "n must be at least 2")]:
+            spec_path.write_text(json.dumps({**bad, "output_dir": str(tmp_path / "out")}))
+            assert run(["experiment", "--spec", str(spec_path), "--workers", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ValueError: {message}")
+            assert not (tmp_path / "out").exists()
 
     def test_lag_key_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "exp.json"
@@ -181,6 +183,24 @@ class TestDiagnoseCommand:
         out = tmp_path / "diag.csv"
         assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert "n_directions must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explicit_lambda_used_exactly(self, tmp_path):
+        spec = {"p": 5, "n": 20, "replications": 2, "include_re": False, "lambda": 0.35}
+        spec_path = tmp_path / "diag.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "diag.csv"
+        assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(float(row.split(",")[2]) == 0.35 / 2 for row in rows)
+
+    def test_lam_key_rejected(self, tmp_path, capsys):
+        spec_path = tmp_path / "diag.json"
+        spec_path.write_text(json.dumps({"lam": 0.35}))
+        out = tmp_path / "diag.csv"
+        assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "keyword argument 'lam'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -232,10 +252,11 @@ class TestBadValues:
             ("diagnose", {"p": 5, "column": 12, "lambda": 0.5}, "column must be in [0, 5)"),
             ("diagnose", {"n_directions": 2.5}, "n_directions must be an integer"),
             ("diagnose", {"n": 1, "lambda": 0.5}, "n must be at least 2"),
-            ("diagnose", {"p": 1, "lambda": 0.5}, "lambda needs p >= 2, got p=1"),
+            ("diagnose", {"p": 1, "lambda": 0.5}, "p must be at least 2, got 1"),
+            ("diagnose", {"c": -1}, "c must be positive, got -1"),
         ],
         ids=["axis", "sd", "p", "n", "replications", "column", "n_directions",
-             "lambda_n", "lambda_p"],
+             "lambda_n", "lambda_p", "c"],
     )
     def test_exits_1_naming_the_field(self, tmp_path, capsys, command, spec, key):
         spec_path = tmp_path / "spec.json"

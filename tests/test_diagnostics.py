@@ -12,12 +12,8 @@ from robustvar import (
     robust_gradient,
     robust_objective,
 )
-from robustvar.diagnostics import (
-    _re_probe,
-    diagnostics_replication,
-    run_deviation_experiment,
-    write_reports_csv,
-)
+from robustvar.diagnostics import _re_probe, diagnostics_replication, write_reports_csv
+from robustvar.experiments import run_deviation_experiment
 
 
 def naive_linf_gradient(y, x, beta, tau, b):

@@ -74,6 +74,14 @@ class TestSpecAndPresets:
             ({"tol": 0}, "tol"),
             ({"max_iter": 0}, "max_iter"),
             ({"df_grid": (2.0,)}, "df"),
+            ({"p": 1}, "p"),
+            ({"n_grid": (1,)}, "n"),
+            ({"replications": 2.5}, "replications"),
+            ({"burn_in": -1}, "burn_in"),
+            ({"density": 0}, "density"),
+            ({"rho_target": 0}, "rho_target"),
+            ({"max_iter": 2.5}, "max_iter"),
+            ({"seed": 1.5}, "seed"),
         ]:
             with pytest.raises(ValueError, match=rf"\b{field}\b"):
                 tiny_spec(**bad)
