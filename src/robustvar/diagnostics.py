@@ -3,7 +3,9 @@
 The deviation check compares the dual norm of the loss gradient at the true
 parameter against half the tuning value; the curvature check probes the
 Taylor remainder of the loss along random sparse directions and reports the
-smallest remainder-to-squared-norm ratio observed.  Both work on a
+smallest remainder-to-squared-norm ratio observed.  The probes are evaluated
+in blocks through one objective call each, which gives the same values, bit
+for bit, as evaluating them one at a time.  Both work on a
 ``Regression`` with known truth; the replicated run over the benchmark
 generator is ``experiments.run_deviation_experiment``.
 """
@@ -11,11 +13,20 @@ generator is ``experiments.run_deviation_experiment``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Regression, RobustConfig, mallows_weights, robust_gradient, robust_objective
+from ._checks import _check_int
+from .losses import (
+    Regression,
+    RobustConfig,
+    mallows_weights,
+    robust_gradient,
+    robust_objective,
+    robust_objective_columns,
+)
 from .penalties import Penalty, dual_value
 
 __all__ = [
@@ -24,6 +35,10 @@ __all__ = [
     "re_check",
     "write_reports_csv",
 ]
+
+# Probes evaluated per objective call: an (n, k) residual block per call keeps
+# memory flat in the number of directions.
+_PROBE_BLOCK = 64
 
 
 @dataclass
@@ -62,19 +77,18 @@ def _re_probe(
     """Smallest remainder ratio and its direction; radius None is tau / (2 * b_max)."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if n_directions < 1:
-        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    _check_int("n_directions", n_directions, 1)
+    _check_int("sparsity_s", sparsity_s, 1)
     beta_star = np.asarray(beta_star, dtype=np.float64)
     q = reg.q
-    s = min(max(1, sparsity_s), q)
+    s = min(sparsity_s, q)
     w = mallows_weights(reg.x, cfg)
     base = robust_objective(reg, beta_star, cfg, weights=w)
     grad = robust_gradient(reg, beta_star, cfg, weights=w)
     rng = np.random.default_rng(seed)
-    best = np.inf
-    best_dir = np.zeros(q)
+    probes = []
     for _ in range(n_directions):
         support = rng.choice(q, size=s, replace=False)
         u = np.zeros(q)
@@ -85,13 +99,15 @@ def _re_probe(
         u *= radius / nrm
         # curvature is sign-asymmetric away from the quadratic regime, so
         # probe both u and -u
-        for v in (u, -u):
-            remainder = (
-                robust_objective(reg, beta_star + v, cfg, weights=w)
-                - base
-                - grad @ v
-            )
-            ratio = remainder / (radius * radius)
+        probes += (u, -u)
+    directions = np.array(probes).reshape(-1, q)
+    best = np.inf
+    best_dir = np.zeros(q)
+    for start in range(0, len(directions), _PROBE_BLOCK):
+        block = directions[start : start + _PROBE_BLOCK]
+        values = robust_objective_columns(reg.x, reg.y, beta_star + block, w, cfg.tau)
+        for v, value in zip(block, values):
+            ratio = (value - base - grad @ v) / (radius * radius)
             if ratio < best:
                 best = ratio
                 best_dir = v.copy()
@@ -110,9 +126,10 @@ def re_check(
     """Smallest Taylor-remainder curvature of the loss at the truth.
 
     Directions are random s-sparse unit vectors scaled to ``radius``
-    (default tau / (2 * b_max), the local ball the error analysis works in);
-    each direction is probed with both signs.  The result is nonnegative up
-    to roundoff because the loss is convex.
+    (default tau / (2 * b_max), the local ball the error analysis works in;
+    an ``s`` above the dimension q is taken as q); each direction is probed
+    with both signs.  The result is nonnegative up to roundoff because the
+    loss is convex.
     """
     return _re_probe(reg, beta_star, cfg, radius, n_directions, sparsity_s, seed)[0]
 

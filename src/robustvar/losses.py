@@ -23,6 +23,7 @@ __all__ = [
     "mallows_weight",
     "mallows_weights",
     "robust_objective",
+    "robust_objective_columns",
     "robust_gradient",
     "robust_gradient_columns",
 ]
@@ -107,9 +108,14 @@ def huber_value(u, tau: float):
     u = np.asarray(u, dtype=np.float64)
     if not np.all(np.isfinite(u)):
         raise ValueError("huber_value requires finite input")
-    au = np.abs(u)
-    out = np.where(au <= tau, 0.5 * u * u, tau * au - 0.5 * tau * tau)
+    out = _huber(u, tau)
     return float(out) if out.ndim == 0 else out
+
+
+def _huber(u: np.ndarray, tau: float) -> np.ndarray:
+    """Elementwise Huber loss of a float64 array; inputs are not validated."""
+    au = np.abs(u)
+    return np.where(au <= tau, 0.5 * u * u, tau * au - 0.5 * tau * tau)
 
 
 def huber_derivative(u, tau: float):
@@ -162,15 +168,33 @@ def robust_objective(
     """Weighted robust empirical loss at ``beta``.
 
     Summation uses ``math.fsum`` (exactly rounded), so the value does not
-    depend on accumulation order.
+    depend on accumulation order.  The one-row case of
+    :func:`robust_objective_columns`; a non-finite value raises.
     """
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (reg.q,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
     w = mallows_weights(reg.x, cfg) if weights is None else weights
-    r = reg.y - reg.x @ beta
-    terms = w * huber_value(w * r, cfg.tau)
-    return math.fsum(terms.tolist()) / reg.n
+    value = float(robust_objective_columns(reg.x, reg.y, beta[None, :], w, cfg.tau)[0])
+    if not math.isfinite(value):
+        raise ValueError("robust_objective requires a finite residual")
+    return value
+
+
+def robust_objective_columns(
+    x: np.ndarray, y: np.ndarray, betas: np.ndarray, w: np.ndarray, tau: float
+) -> np.ndarray:
+    """Objective values (k,) of the regression of ``y`` (n,) on ``x`` (n, q)
+    with weights ``w`` at the k coefficient vectors in the rows of ``betas``
+    (k, q); inputs are not validated.
+
+    Each fitted column is its own matrix-vector product, so every value is
+    bit-identical to a one-vector evaluation (one matrix product over all k
+    rounds differently); each sum is a ``math.fsum``.
+    """
+    fitted = np.matmul(x, betas[:, :, None])[:, :, 0]
+    terms = w * _huber(w * (y - fitted), tau)
+    return np.array([math.fsum(row) for row in terms.tolist()]) / x.shape[0]
 
 
 def robust_gradient(

@@ -119,7 +119,7 @@ def proximal_gradient_fit_columns(
     running columns per iteration.  Column j starts from
     ``init_beta(q, column_seed(opt.seed, j))`` and stops on its own once its
     iterates move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     q, k = x.shape[1], y.shape[1]
     pen.check_coverage(q)

@@ -508,9 +508,12 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
 
         else:
             f_arr = np.asarray(spec.f)
+            f_stack = np.stack(spec.f_mats)
 
             def step(t, z):
-                quad = np.array([z @ fm @ z for fm in spec.f_mats])
+                # all p forms z'F_j z at once: one row-by-column product per
+                # j, which rounds exactly like z @ F_j @ z
+                quad = np.matmul((z @ f_stack)[:, None, :], z[:, None])[:, 0, 0]
                 sig = np.sqrt(f_arr + quad)
                 z = bt @ z
                 z += sig * eta[t]

@@ -78,8 +78,8 @@ class FitConfig:
     def __post_init__(self):
         if self.lambda_mode not in ("theory", "explicit"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_mode == "explicit" and self.lam < 0:
-            raise ValueError(f"explicit lambda lam must be nonnegative, got {self.lam}")
+        if self.lambda_mode == "explicit" and not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"explicit lambda lam must be nonnegative and finite, got {self.lam}")
         if self.lambda_mode == "theory" and not self.c > 0:
             raise ValueError(f"theory-mode constant c must be positive, got {self.c}")
 

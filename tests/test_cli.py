@@ -120,6 +120,18 @@ class TestFitCommand:
         model = read_var_model_csv(out)
         assert model.p == 2 and model.d == 2
 
+    def test_nan_lambda_names_lam(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--p", "2", "--n", "30", "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        assert run(["fit", "--input", str(data), "--tau", "1", "--lambda-mode", "explicit",
+                    "--lambda", "nan", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError:")
+        assert "lam must be nonnegative and finite, got nan" in err
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = run(["fit", "--input", str(tmp_path / "nope.csv"), "--tau", "1"])
         assert code == 1
@@ -254,9 +266,10 @@ class TestBadValues:
             ("diagnose", {"n": 1, "lambda": 0.5}, "n must be at least 2"),
             ("diagnose", {"p": 1, "lambda": 0.5}, "p must be at least 2, got 1"),
             ("diagnose", {"c": -1}, "c must be positive, got -1"),
+            ("diagnose", {"lambda": float("nan")}, "lam must be nonnegative and finite, got nan"),
         ],
         ids=["axis", "sd", "p", "n", "replications", "column", "n_directions",
-             "lambda_n", "lambda_p", "c"],
+             "lambda_n", "lambda_p", "c", "lambda_nan"],
     )
     def test_exits_1_naming_the_field(self, tmp_path, capsys, command, spec, key):
         spec_path = tmp_path / "spec.json"

@@ -1,5 +1,7 @@
 """Tests for the deviation and curvature condition diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,22 @@ from robustvar import (
     Penalty,
     Regression,
     RobustConfig,
+    SignPartition,
+    StudentTNoise,
+    ThresholdVarDgp,
     deviation_check,
+    huber_value,
+    indicator_map,
+    mallows_weights,
     re_check,
     robust_gradient,
     robust_objective,
+    simulate,
 )
+from robustvar import diagnostics
 from robustvar.diagnostics import _re_probe, diagnostics_replication, write_reports_csv
 from robustvar.experiments import run_deviation_experiment
+from robustvar.losses import robust_objective_columns
 
 
 def naive_linf_gradient(y, x, beta, tau, b):
@@ -25,6 +36,44 @@ def naive_linf_gradient(y, x, beta, tau, b):
         r = w * (y[i] - x[i] @ beta)
         g -= max(-tau, min(tau, r)) * w * w * x[i]
     return np.max(np.abs(g / n))
+
+
+def one_point_objective(reg, beta, cfg, w):
+    """The weighted robust loss at one beta, written out with one matrix-vector product."""
+    terms = w * huber_value(w * (reg.y - reg.x @ beta), cfg.tau)
+    return math.fsum(terms.tolist()) / reg.n
+
+
+def probe_directions(q, s, radius, n_directions, seed):
+    """The probe's directions in order: each drawn u, then -u."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_directions):
+        support = rng.choice(q, size=min(s, q), replace=False)
+        u = np.zeros(q)
+        u[support] = rng.standard_normal(min(s, q))
+        u *= radius / np.linalg.norm(u)
+        yield u
+        yield -u
+
+
+def one_at_a_time_probe(reg, beta, cfg, radius, n_directions, s, seed):
+    """The curvature probe with one objective evaluation per direction."""
+    w = mallows_weights(reg.x, cfg)
+    base = one_point_objective(reg, beta, cfg, w)
+    grad = robust_gradient(reg, beta, cfg, weights=w)
+    best, best_dir = np.inf, np.zeros(reg.q)
+    for v in probe_directions(reg.q, s, radius, n_directions, seed):
+        ratio = (one_point_objective(reg, beta + v, cfg, w) - base - grad @ v) / (radius * radius)
+        if ratio < best:
+            best, best_dir = ratio, v.copy()
+    return best, best_dir
+
+
+def heavy_tailed_regression(q, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_t(3.0, (n, q))
+    beta = rng.standard_normal(q) * (rng.uniform(size=q) < 0.4)
+    return Regression(x @ beta + rng.standard_t(2.5, n), x), beta
 
 
 class TestDeviationCheck:
@@ -127,6 +176,93 @@ class TestReCheck:
         assert up != pytest.approx(dn, rel=1e-6)
         got = re_check(reg, beta, cfg, radius=radius, n_directions=3, sparsity_s=1, seed=0)
         assert got <= min(up, dn) + 1e-12
+
+
+class TestBlockedProbe:
+    @pytest.mark.parametrize("q", [3, 10, 20])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_equals_one_at_a_time_probe(self, q, s):
+        # 150 directions are 300 probes: whole blocks and a partial last one
+        reg, beta = heavy_tailed_regression(q, 120, seed=10 * q + s)
+        cfg = RobustConfig(tau=0.8, b=2.0)
+        radius = 0.7
+        got, direction = _re_probe(reg, beta, cfg, radius, 150, s, seed=q + s)
+        want, want_dir = one_at_a_time_probe(reg, beta, cfg, radius, 150, s, seed=q + s)
+        assert got == want
+        np.testing.assert_array_equal(direction, want_dir)
+
+    def test_equals_one_at_a_time_probe_on_indicator_design(self):
+        rng = np.random.default_rng(11)
+        regimes = (np.eye(3) * 0.4, rng.standard_normal((3, 3)) * 0.15)
+        dgp = ThresholdVarDgp(models=regimes, partition=SignPartition(), noise=StudentTNoise(3.0))
+        z = simulate(dgp, 150, 50, seed=12)
+        x = np.array([indicator_map(dgp.partition, row) for row in z[:-1]])
+        reg = Regression(z[1:, 0], x)
+        beta = np.vstack(regimes)[:, 0]
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        radius = cfg.tau / (2 * cfg.b_max)
+        got, direction = _re_probe(reg, beta, cfg, None, 150, 2, seed=13)
+        want, want_dir = one_at_a_time_probe(reg, beta, cfg, radius, 150, 2, seed=13)
+        assert got == want
+        np.testing.assert_array_equal(direction, want_dir)
+
+    def test_every_probe_evaluated_once_in_blocks(self, monkeypatch):
+        evaluated = []
+
+        def record(x, y, betas, w, tau):
+            evaluated.append(betas.copy())
+            return robust_objective_columns(x, y, betas, w, tau)
+
+        monkeypatch.setattr(diagnostics, "robust_objective_columns", record)
+        reg, beta = heavy_tailed_regression(6, 50, seed=15)
+        _re_probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 150, 2, seed=3)
+        assert [len(b) for b in evaluated] == [64] * 4 + [44]
+        want = [beta + v for v in probe_directions(6, 2, 0.5, 150, seed=3)]
+        np.testing.assert_array_equal(np.vstack(evaluated), want)
+
+    def test_one_row_objective_equals_robust_objective(self):
+        reg, _ = heavy_tailed_regression(7, 90, seed=14)
+        cfg = RobustConfig(tau=0.6, b=1.5)
+        w = mallows_weights(reg.x, cfg)
+        betas = np.random.default_rng(15).standard_normal((20, 7))
+        for beta in betas:
+            value = robust_objective_columns(reg.x, reg.y, beta[None, :], w, cfg.tau)
+            assert value.shape == (1,)
+            assert value[0] == robust_objective(reg, beta, cfg) == one_point_objective(reg, beta, cfg, w)
+
+    def test_many_rows_equal_one_point_objectives(self):
+        # one matrix product over all rows would round some values differently
+        reg, _ = heavy_tailed_regression(10, 200, seed=16)
+        cfg = RobustConfig(tau=0.6, b=1.5)
+        w = mallows_weights(reg.x, cfg)
+        betas = np.random.default_rng(17).standard_normal((150, 10))
+        values = robust_objective_columns(reg.x, reg.y, betas, w, cfg.tau)
+        np.testing.assert_array_equal(values, [one_point_objective(reg, b, cfg, w) for b in betas])
+
+    def test_sparsity_above_dimension_is_dimension(self):
+        reg, beta = heavy_tailed_regression(4, 40, seed=16)
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        assert re_check(reg, beta, cfg, sparsity_s=9, seed=1) == re_check(reg, beta, cfg, sparsity_s=4, seed=1)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"n_directions": 2.5}, "n_directions must be an integer, got 2.5"),
+            ({"n_directions": 0}, "n_directions must be at least 1, got 0"),
+            ({"sparsity_s": 1.5}, "sparsity_s must be an integer, got 1.5"),
+            ({"sparsity_s": 0}, "sparsity_s must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_count_names_the_parameter(self, setting, message):
+        reg, beta = heavy_tailed_regression(3, 20, seed=17)
+        with pytest.raises(ValueError, match=message):
+            re_check(reg, beta, RobustConfig(tau=1.0, b=3.0), **setting)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        reg, beta = heavy_tailed_regression(3, 20, seed=18)
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            re_check(reg, beta, RobustConfig(tau=1.0, b=3.0), radius=radius)
 
 
 class TestReplicationDriver:

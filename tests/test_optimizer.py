@@ -205,3 +205,8 @@ class TestProximalGradientFit:
         reg = Regression(np.ones(3), np.ones((3, 1)))
         with pytest.raises(ValueError):
             proximal_gradient_fit(reg, RobustConfig(tau=1, b=1), Penalty("l1"), -1.0, OptimizerConfig())
+
+    def test_nan_lambda_rejected(self):
+        reg = Regression(np.ones(3), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="lambda must be nonnegative, got nan"):
+            proximal_gradient_fit(reg, RobustConfig(tau=1, b=1), Penalty("l1"), np.nan, OptimizerConfig())

@@ -198,6 +198,27 @@ class TestSimulate:
         v = simulate(spec_var, 80, 10, seed=8)
         np.testing.assert_array_equal(a, v)
 
+    def test_arch_var_dense_scales_match_per_matrix_forms(self):
+        # dense PSD scale matrices: every form z'F_j z has rounding to match
+        rng = np.random.default_rng(19)
+        p, n, burn_in, seed = 5, 150, 50, 20
+        b = rng.standard_normal((p, p))
+        b *= 0.4 / np.linalg.norm(b, 2)
+        mats = []
+        for _ in range(p):
+            a = rng.standard_normal((p, p))
+            mats.append(a @ a.T * (0.3 / np.linalg.eigvalsh(a @ a.T)[-1]))
+        spec = ArchVarDgp(b=b, f=tuple(rng.uniform(0.5, 2.0, p)), f_mats=tuple(mats),
+                          noise=StudentTNoise(4.0))
+        eta = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+        bt, z, path = np.ascontiguousarray(b.T), np.zeros(p), []
+        for e in eta:
+            sig = np.sqrt(np.asarray(spec.f) + np.array([z @ fm @ z for fm in spec.f_mats]))
+            z = bt @ z
+            z += sig * e
+            path.append(z)
+        np.testing.assert_array_equal(simulate(spec, n, burn_in, seed), np.array(path)[burn_in:])
+
     def test_rc_var_zero_gamma_reduces_to_var(self):
         rng = np.random.default_rng(7)
         b = 0.4 * rng.standard_normal((2, 2))

@@ -314,6 +314,11 @@ class TestFitVar:
         assert len(results) == 2
         assert results[0].beta_hat.shape == (4,)
 
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_explicit_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=lam)
+
 
 class TestEstimationError:
     def test_zero_for_equal(self):
