@@ -231,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--weight-form", default="linear", choices=["linear", "quadratic"],
                     dest="weight_form")
     pf.add_argument("--lambda-mode", default="theory", choices=["theory", "explicit"],
-                    dest="lambda_mode")
-    pf.add_argument("--c", type=float, default=1.0)
-    pf.add_argument("--lambda", type=float, default=0.0, dest="lam")
+                    dest="lambda_mode", help="theory: lambda from --c; explicit: --lambda")
+    pf.add_argument("--c", type=float, default=1.0, help="theory-mode constant in the rate form "
+                    f"(experiment and diagnose default to CALIBRATED_C = {CALIBRATED_C})")
+    pf.add_argument("--lambda", type=float, default=0.0, dest="lam", help="explicit-mode lambda")
     pf.add_argument("--step", type=float, default=None,
                     help="fixed proximal-gradient step; by default 1/L, the inverse of the "
                          "design's gradient Lipschitz bound")

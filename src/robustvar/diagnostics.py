@@ -12,13 +12,13 @@ generator is ``experiments.run_deviation_experiment``.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._checks import _check_int
+from ._tables import format_cell, write_table
 from .losses import (
     Regression,
     RobustConfig,
@@ -165,26 +165,11 @@ def diagnostics_replication(
 
 def write_reports_csv(reports: list[DiagnosticsReport], path) -> None:
     """One CSV row per replication."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["rep", "deviation_stat", "lambda_half", "deviation_pass",
-             "re_hat", "re_directions", "min_direction"]
-        )
-        for i, rep in enumerate(reports):
-            direction = (
-                ""
-                if rep.min_direction is None
-                else " ".join(format(v, ".17g") for v in rep.min_direction)
-            )
-            writer.writerow(
-                [
-                    i,
-                    format(rep.deviation_stat, ".17g"),
-                    format(rep.lambda_half, ".17g"),
-                    "true" if rep.deviation_pass else "false",
-                    format(rep.re_hat, ".17g"),
-                    rep.re_directions,
-                    direction,
-                ]
-            )
+    header = ["rep", *(f.name for f in fields(DiagnosticsReport))]
+    rows = [
+        (i, r.deviation_stat, r.lambda_half, r.deviation_pass, r.re_hat, r.re_directions,
+         "" if r.min_direction is None
+         else " ".join(format_cell(float, v) for v in r.min_direction))
+        for i, r in enumerate(reports)
+    ]
+    write_table(path, header, (int, float, float, bool, float, int, str), rows)

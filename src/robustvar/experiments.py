@@ -13,7 +13,6 @@ generator instead of fitting; both check its settings once, up front.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
@@ -27,6 +26,7 @@ import numpy as np
 
 from ._checks import _check_int
 from ._seeds import derive_seed
+from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
 from .losses import Regression, RobustConfig
 from .optimizer import OptimizerConfig, gradient_lipschitz_bound
@@ -70,7 +70,7 @@ CSV_SCHEMA = (
     ("lambda", float), ("rep", int), ("error", float), ("iterations", int),
     ("converged", bool), ("seed", int),
 )
-CSV_FIELDS = [name for name, _ in CSV_SCHEMA]
+CSV_FIELDS, CSV_KINDS = (list(column) for column in zip(*CSV_SCHEMA))
 
 MAX_PATH_RETRIES = 10
 
@@ -325,35 +325,20 @@ def aggregate(rows: list[dict], x_field: str, series_field: str) -> dict:
     return out
 
 
-def _format_field(kind: type, value) -> str:
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is float:
-        return format(float(value), ".17g")
-    return str(kind(value))
-
-
-def _parse_field(kind: type, text: str):
-    return text == "true" if kind is bool else kind(text)
-
-
 def emit_csv(rows: list[dict], path) -> None:
     """Write result rows with the fixed 12-column schema, LF endings, UTF-8."""
     if not rows:
         raise ValueError("refusing to write an empty results table")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_field(kind, row[f]) for f, kind in CSV_SCHEMA) + "\n")
+    write_table(path, CSV_FIELDS, CSV_KINDS, ([row[f] for f in CSV_FIELDS] for row in rows))
 
 
 def read_results_csv(path) -> list[dict]:
     """Parse a results CSV back into typed row dicts (inverse of emit_csv)."""
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_FIELDS:
-            raise ValueError(f"unexpected header {reader.fieldnames}")
-        return [{f: _parse_field(kind, rec[f]) for f, kind in CSV_SCHEMA} for rec in reader]
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header != CSV_FIELDS:
+            raise ValueError(f"unexpected header {header}")
+        return [dict(zip(CSV_FIELDS, row)) for row in read_table(fh, CSV_FIELDS, CSV_KINDS)]
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:

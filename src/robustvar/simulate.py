@@ -15,6 +15,7 @@ import numpy as np
 
 from ._checks import _check_int
 from ._seeds import derive_seed
+from ._tables import read_table, write_table
 from .var import VarModel, companion_matrix, spectral_radius
 
 __all__ = [
@@ -588,10 +589,8 @@ def write_series_csv(data: np.ndarray, path) -> None:
     if data.ndim != 2:
         raise ValueError("series must be a 2-d array")
     p = data.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"z{j + 1}" for j in range(p)) + "\n")
-        for t, row in enumerate(data):
-            fh.write(str(t) + "," + ",".join(format(v, ".17g") for v in row) + "\n")
+    write_table(path, ["t", *(f"z{j + 1}" for j in range(p))], (int,) + (float,) * p,
+                ((t, *row) for t, row in enumerate(data.tolist())))
 
 
 def read_series_csv(path) -> np.ndarray:
@@ -603,25 +602,9 @@ def read_series_csv(path) -> np.ndarray:
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
+        if header[0] != "t":
             raise ValueError("not a series CSV: first column must be t")
-        width = len(header) - 1
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            values = line.split(",")[1:]
-            if len(values) != width:
-                raise ValueError(f"line {lineno} has {len(values)} values, the header names {width}")
-            row = []
-            for name, value in zip(header[1:], values):
-                try:
-                    row.append(float(value))
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}, column {name}: {value.strip()!r} is not a number"
-                    ) from None
-            rows.append(row)
+        rows = read_table(fh, header[1:], (float,) * (len(header) - 1), skip=1)
     if not rows:
         raise ValueError("series CSV has no data rows")
     return np.asarray(rows, dtype=np.float64)

@@ -8,11 +8,14 @@ A lag-``d`` model in dimension ``p`` is stored as coefficient matrices
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._tables import read_table, write_table
 from .losses import Regression, RobustConfig
 from .optimizer import FitResult, OptimizerConfig, proximal_gradient_fit_columns
 from .penalties import Penalty
@@ -80,6 +83,8 @@ class FitConfig:
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.lambda_mode == "explicit" and not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"explicit lambda lam must be nonnegative and finite, got {self.lam}")
+        if self.lambda_mode == "theory" and self.lam != 0:
+            raise ValueError(f"lam must be 0 in theory mode, got {self.lam}")
         if self.lambda_mode == "theory" and not self.c > 0:
             raise ValueError(f"theory-mode constant c must be positive, got {self.c}")
 
@@ -204,24 +209,22 @@ def write_var_model_csv(model: VarModel, path) -> None:
     """Write a model as CSV: header ``# varmodel p=<p> d=<d>`` then the p x (p*d)
     matrix [B_1', ..., B_d'] row-major at full double precision."""
     wide = np.hstack([c.T for c in model.coeffs])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# varmodel p={model.p} d={model.d}\n")
-        for row in wide:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_table(path, [f"# varmodel p={model.p} d={model.d}"],
+                (float,) * wide.shape[1], wide.tolist())
 
 
 def read_var_model_csv(path) -> VarModel:
-    """Read a model written by :func:`write_var_model_csv`."""
+    """Read a model written by :func:`write_var_model_csv`.  A bad header or
+    row count raises ``ValueError`` naming the header, a bad row its line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        parts = header.replace(",", " ").split()
-        if len(parts) < 3 or parts[0] != "#" or parts[1] != "varmodel":
-            raise ValueError(f"not a varmodel CSV: header {header!r}")
-        meta = dict(kv.split("=") for kv in parts[2:])
-        p, d = int(meta["p"]), int(meta["d"])
-        rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
+        match = re.fullmatch(r"# varmodel p=0*([1-9][0-9]{0,8}) d=0*([1-9][0-9]{0,8})", header)
+        if not match:
+            raise ValueError(f"header {header!r} is not '# varmodel p=<p> d=<d>', 1 <= p, d < 1e9")
+        p, d = map(int, match.groups())
+        # the header's numbers do not bound the file's size, so nothing is sized by them
+        rows = read_table(fh, range(1, p * d + 1), itertools.repeat(float))
+    if len(rows) != p:
+        raise ValueError(f"header {header!r} names {p} rows, the file has {len(rows)}")
     wide = np.asarray(rows, dtype=np.float64)
-    if wide.shape != (p, p * d):
-        raise ValueError(f"expected a {p}x{p * d} matrix, got {wide.shape}")
-    coeffs = [wide[:, k * p : (k + 1) * p].T for k in range(d)]
-    return VarModel(tuple(coeffs))
+    return VarModel(tuple(wide[:, k * p : (k + 1) * p].T for k in range(d)))

@@ -132,6 +132,17 @@ class TestFitCommand:
         assert "lam must be nonnegative and finite, got nan" in err
         assert not out.exists()
 
+    def test_theory_mode_rejects_a_lambda(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--p", "2", "--n", "30", "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        assert run(["fit", "--input", str(data), "--tau", "1", "--lambda", "0.3",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: lam must be 0 in theory mode, got 0.3\n"
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = run(["fit", "--input", str(tmp_path / "nope.csv"), "--tau", "1"])
         assert code == 1
@@ -292,6 +303,13 @@ class TestCheckStabilityCommand:
         out = capsys.readouterr().out
         assert "spectral_radius=0.5" in out
         assert "stable=true" in out
+
+    def test_bad_model_names_line_and_column(self, tmp_path, capsys):
+        model = tmp_path / "bad.csv"
+        model.write_text("# varmodel p=2 d=1\n0.5,x\n0,0.25\n")
+        assert run(["check-stability", "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: line 2, column 2: 'x' is not a number\n"
 
 
 class TestUsageErrors:

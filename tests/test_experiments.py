@@ -86,6 +86,10 @@ class TestSpecAndPresets:
             with pytest.raises(ValueError, match=rf"\b{field}\b"):
                 tiny_spec(**bad)
 
+    def test_theory_mode_rejects_lam(self):
+        with pytest.raises(ValueError, match="^lam must be 0 in theory mode, got 0.3$"):
+            spec_from_dict({"lam": 0.3})
+
     def test_spec_dict_roundtrip(self):
         spec = case3(p=30, seed=5)
         assert spec_from_dict(spec_to_dict(spec)) == spec
@@ -182,6 +186,21 @@ class TestCsv:
         emit_csv(run_experiment(tiny_spec()), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("custom,3,20,1,3,1,0.5,0,0.25,4,true,7\ncustom,3,x,1,3,1,0.5,1,0.25,4,true,8\n",
+             "^line 3, column n: 'x' is not a number$"),
+            ("custom,3,20,1,3,1,0.5,0,0.25,4,true\n", "^line 2 has 11 values, the header names 12$"),
+        ],
+        ids=["cell", "ragged"],
+    )
+    def test_bad_row_names_line_and_column(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(exps.CSV_FIELDS) + "\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_results_csv(path)
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):

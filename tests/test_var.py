@@ -319,6 +319,11 @@ class TestFitVar:
         with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=lam)
 
+    @pytest.mark.parametrize("lam", [0.3, -0.1, np.nan])
+    def test_theory_mode_rejects_a_lambda(self, lam):
+        with pytest.raises(ValueError, match=r"^lam must be 0 in theory mode, got"):
+            FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lam=lam)
+
 
 class TestEstimationError:
     def test_zero_for_equal(self):
@@ -365,4 +370,29 @@ class TestModelCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            read_var_model_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# varmodel p=2 d=1\n0.5,x\n0,0.25\n", "^line 2, column 2: 'x' is not a number$"),
+            ("# varmodel p=2 d=2\n0.5,0,0.1,0\n0,0.25,0,nope\n",
+             "^line 3, column 4: 'nope' is not a number$"),
+            ("# varmodel p=2\n0.5,0\n0,0.25\n", "^header '# varmodel p=2' is not "),
+            ("# varmodel p=2 d=1 q=3\n0.5,0\n0,0.25\n", "^header '# varmodel p=2 d=1 q=3' is not "),
+            ("# varmodel p=0 d=1\n", "^header '# varmodel p=0 d=1' is not "),
+            ("# varmodel p=10000000000 d=10000000000\n1\n", "^header '# varmodel p=1000000"),
+            ("# varmodel p=2 d=1\n0.5,0\n0.25\n", "^line 3 has 1 values, the header names 2$"),
+            ("# varmodel p=2 d=1\n0.5,0\n\n",
+             "^header '# varmodel p=2 d=1' names 2 rows, the file has 1$"),
+            ("# varmodel p=1 d=1\n0.5\n0.25\n",
+             "^header '# varmodel p=1 d=1' names 1 rows, the file has 2$"),
+        ],
+        ids=["cell", "lag2_cell", "no_d", "extra_token", "p0", "huge", "ragged",
+             "too_few_rows", "too_many_rows"],
+    )
+    def test_bad_file_names_line_and_column_or_header(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_var_model_csv(path)
