@@ -63,6 +63,7 @@ from .simulate import (
     read_series_csv,
     sample_noise,
     simulate,
+    simulate_paths,
     write_series_csv,
 )
 from .diagnostics import DiagnosticsReport, deviation_check, re_check

@@ -21,8 +21,9 @@ def write_table(path, header, kinds, rows) -> None:
 
 def read_table(fh, names, kinds, skip=0) -> list[list]:
     """Rows of an open table past its header line, blank lines skipped; each line
-    drops ``skip`` cells, then holds one per name, parsed as ``kinds``.  A bad
-    row or cell raises ``ValueError`` naming its line, and for a cell its column."""
+    drops ``skip`` cells, then holds one per name, parsed as ``kinds``; a bool
+    cell must read ``true`` or ``false``.  A bad row or cell raises
+    ``ValueError`` naming its line, and for a cell its column."""
     rows = []
     for num, line in enumerate(fh, start=2):
         if not line.strip():
@@ -32,8 +33,13 @@ def read_table(fh, names, kinds, skip=0) -> list[list]:
             raise ValueError(f"line {num} has {len(cells)} values, the header names {len(names)}")
         row = []
         for name, kind, cell in zip(names, kinds, cells):
+            if kind is bool:
+                if cell not in ("true", "false"):
+                    raise ValueError(f"line {num}, column {name}: {cell!r} is not true or false")
+                row.append(cell == "true")
+                continue
             try:
-                row.append(cell == "true" if kind is bool else kind(cell))
+                row.append(kind(cell))
             except ValueError:
                 raise ValueError(f"line {num}, column {name}: "
                                  f"{cell.strip()!r} is not a number") from None

@@ -29,9 +29,11 @@ from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
 from .losses import Regression, RobustConfig
-from .optimizer import OptimizerConfig, gradient_lipschitz_bound
+from .optimizer import OptimizerConfig, gradient_lipschitz_bound, init_columns
 from .penalties import Penalty
-from .simulate import SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate
+from .simulate import (
+    SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
+)
 from .simulate import _check_er_settings
 from .var import FitConfig, VarModel, estimation_error, fit_var
 
@@ -73,6 +75,24 @@ CSV_SCHEMA = (
 CSV_FIELDS, CSV_KINDS = (list(column) for column in zip(*CSV_SCHEMA))
 
 MAX_PATH_RETRIES = 10
+
+# Most bytes of noise and path that one stacked recursion holds (two
+# (burn_in + n, p) float arrays per path): bounds a worker's memory, whatever
+# the number, length or dimension of the paths.
+_STACK_BYTES = 8 << 20
+
+
+def _stacks(items: list, steps: int, p: int) -> list[list]:
+    """``items`` cut into consecutive runs, one stacked recursion each: as many
+    paths of ``steps`` x ``p`` as ``_STACK_BYTES`` holds, and at least one."""
+    size = max(1, _STACK_BYTES // (16 * steps * p))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _study_dgp(p: int, density: float, rho_target: float, df: float, rep_seed: int) -> VarTDgp:
+    """The replication's sparse VAR(1) truth with t(df) noise."""
+    b_mat = gen_er_transition(p, density, rho_target, derive_seed(rep_seed, 0))
+    return VarTDgp(VarModel((b_mat,)), StudentTNoise(df))
 
 
 def _check_generator(p: int, n_values, replications: int, burn_in: int,
@@ -195,22 +215,23 @@ def case3(p: int = 10, seed: int = 0, replications: int = 20) -> ExperimentSpec:
     )
 
 
-def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dict]:
-    """All rows for one (grid cell, replication): one row per tau level."""
-    spec, cell_index, df, n, rep = args
-    rep_seed = derive_seed(spec.seed, cell_index, rep)
-    b_mat = gen_er_transition(spec.p, spec.density, spec.rho_target, derive_seed(rep_seed, 0))
-    truth = VarModel((b_mat,))
-    data = None
-    for attempt in range(MAX_PATH_RETRIES):
-        try:
-            data = simulate(
-                VarTDgp(truth, StudentTNoise(df)),
-                n, spec.burn_in, derive_seed(rep_seed, 1, attempt),
-            )
+def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_seed: int,
+                  dgp: VarTDgp, data: np.ndarray | SimulationError) -> list[dict]:
+    """All rows for one (grid cell, replication): one row per tau level, each
+    fit from the same seeded start.  ``data`` is the attempt-0 path or its
+    error; a non-finite path is retried alone, on the next substreams."""
+    cell_index, df, n, rep = task
+    attempt = 0
+    while isinstance(data, SimulationError):
+        log.warning("cell %d rep %d attempt %d: %s", cell_index, rep, attempt, data)
+        attempt += 1
+        if attempt == MAX_PATH_RETRIES:
+            data = None
             break
+        try:
+            data = simulate(dgp, n, spec.burn_in, derive_seed(rep_seed, 1, attempt))
         except SimulationError as exc:
-            log.warning("cell %d rep %d attempt %d: %s", cell_index, rep, attempt, exc)
+            data = exc
     if data is not None and spec.step is not None:
         # the bound depends on the lag-1 design and b, not on tau
         first = Regression(data[1:, 0], data[:-1])
@@ -220,9 +241,11 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
                 "cell %d rep %d: step %.3g exceeds 2/L = %.3g, so descent is not guaranteed",
                 cell_index, rep, spec.step, 2.0 / lip,
             )
+    fit_seed = derive_seed(rep_seed, 2)
+    start = None if data is None else init_columns(spec.p, spec.p, fit_seed)
     rows = []
     for tau in spec.tau_grid:
-        fit = spec.fit_config(tau, derive_seed(rep_seed, 2))
+        fit = spec.fit_config(tau, fit_seed)
         row = {
             "case": spec.case, "p": spec.p, "n": n, "d": 1, "df": df, "tau": tau,
             "lambda": fit.lambda_for(spec.p, 1, n - 1), "rep": rep, "seed": rep_seed,
@@ -231,13 +254,40 @@ def _run_cell_rep(args: tuple[ExperimentSpec, int, float, int, int]) -> list[dic
             row.update(error=math.nan, iterations=0, converged=False)
             rows.append(row)
             continue
-        est, results = fit_var(data, 1, fit)
+        est, results = fit_var(data, 1, fit, start)
         row.update(
-            error=estimation_error(est, truth),
+            error=estimation_error(est, dgp.model),
             iterations=max(r.iterations for r in results),
             converged=all(r.converged for r in results),
         )
         rows.append(row)
+    return rows
+
+
+def _run_stack(spec: ExperimentSpec, tasks: list[tuple[int, float, int, int]],
+               n: int) -> list[list[dict]]:
+    """The rows of each of a list of tasks of one n, in task order, their
+    attempt-0 paths drawn by one stacked recursion."""
+    rep_seeds = [derive_seed(spec.seed, cell_index, rep) for cell_index, _, _, rep in tasks]
+    dgps = [_study_dgp(spec.p, spec.density, spec.rho_target, df, rep_seed)
+            for (_, df, _, _), rep_seed in zip(tasks, rep_seeds)]
+    paths = simulate_paths(dgps, n, spec.burn_in,
+                           [derive_seed(rep_seed, 1, 0) for rep_seed in rep_seeds])
+    return [_run_cell_rep(spec, task, rep_seed, dgp, data)
+            for task, rep_seed, dgp, data in zip(tasks, rep_seeds, dgps, paths)]
+
+
+def _run_batch(args: tuple[ExperimentSpec, list[tuple[int, float, int, int]]]) -> list[list[dict]]:
+    """The rows of each of a list of (cell index, df, n, rep) tasks, in task
+    order.  Tasks that share an n run in stacks (see ``_stacks``), each drawn
+    and fitted before the next is drawn."""
+    spec, tasks = args
+    rows: list[list[dict]] = [[] for _ in tasks]
+    for n in dict.fromkeys(n for _, _, n, _ in tasks):
+        group = [i for i, task in enumerate(tasks) if task[2] == n]
+        for stack in _stacks(group, spec.burn_in + n, spec.p):
+            for i, task_rows in zip(stack, _run_stack(spec, [tasks[i] for i in stack], n)):
+                rows[i] = task_rows
     return rows
 
 
@@ -246,20 +296,25 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     (cell, tau, replication).
 
     ``workers`` defaults to the ROBUSTVAR_WORKERS environment variable (or 1).
-    Output is identical for any worker count: tasks are seeded independently
-    and merged in grid order.
+    The (cell, replication) tasks are dealt out to one batch per worker in
+    turn, so every batch holds a share of each n, and no more workers start
+    than there are tasks.  Output is identical for any worker count: tasks
+    are seeded independently and merged in grid order.
     """
     if workers is None:
         workers = int(os.environ.get("ROBUSTVAR_WORKERS", "1"))
     # cell indices seed the replications, so this (df, n) order is fixed
     cells = enumerate(itertools.product(spec.df_grid, spec.n_grid))
-    tasks = [(spec, ci, df, n, rep) for ci, (df, n) in cells for rep in range(spec.replications)]
-    if workers <= 1:
-        chunks = map(_run_cell_rep, tasks)
+    tasks = [(ci, df, n, rep) for ci, (df, n) in cells for rep in range(spec.replications)]
+    n_batches = max(1, min(workers, len(tasks)))
+    batches = [(spec, tasks[j::n_batches]) for j in range(n_batches)]
+    if n_batches == 1:
+        chunks = list(map(_run_batch, batches))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_cell_rep, tasks, chunksize=1))
-    return [row for chunk in chunks for row in chunk]
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            chunks = list(pool.map(_run_batch, batches))
+    # task i is entry i // n_batches of batch i % n_batches
+    return [row for i in range(len(tasks)) for row in chunks[i % n_batches][i // n_batches]]
 
 
 def run_deviation_experiment(
@@ -292,15 +347,19 @@ def run_deviation_experiment(
     fit = FitConfig(RobustConfig(tau=tau, b=b), lambda_mode=mode, lam=fixed, c=c)
     lam = fit.lambda_for(p, 1, n - 1)
     reports = []
-    for rep in range(replications):
-        rep_seed = derive_seed(seed, rep)
-        truth = VarModel((gen_er_transition(p, density, rho_target, derive_seed(rep_seed, 0)),))
-        data = simulate(VarTDgp(truth, StudentTNoise(df)), n, burn_in, derive_seed(rep_seed, 1))
-        reg = Regression(data[1:, column], data[:-1])
-        reports.append(diagnostics_replication(
-            reg, truth.stacked()[:, column], fit.robust, fit.penalty, lam,
-            seed=derive_seed(rep_seed, 2), n_directions=n_directions, include_re=include_re,
-        ))
+    for stack in _stacks(list(range(replications)), burn_in + n, p):
+        rep_seeds = [derive_seed(seed, rep) for rep in stack]
+        dgps = [_study_dgp(p, density, rho_target, df, rep_seed) for rep_seed in rep_seeds]
+        paths = simulate_paths(dgps, n, burn_in,
+                               [derive_seed(rep_seed, 1) for rep_seed in rep_seeds])
+        for rep_seed, dgp, data in zip(rep_seeds, dgps, paths):
+            if isinstance(data, SimulationError):
+                raise data
+            reg = Regression(data[1:, column], data[:-1])
+            reports.append(diagnostics_replication(
+                reg, dgp.model.stacked()[:, column], fit.robust, fit.penalty, lam,
+                seed=derive_seed(rep_seed, 2), n_directions=n_directions, include_re=include_re,
+            ))
     return reports
 
 

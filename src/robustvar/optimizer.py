@@ -16,6 +16,7 @@ __all__ = [
     "FitResult",
     "DivergenceError",
     "init_beta",
+    "init_columns",
     "gradient_lipschitz_bound",
     "proximal_gradient_fit",
     "proximal_gradient_fit_columns",
@@ -79,6 +80,12 @@ def init_beta(q: int, seed: int) -> np.ndarray:
             return v / nrm
 
 
+def init_columns(q: int, k: int, seed: int) -> np.ndarray:
+    """The (q, k) seeded start of a k-column fit: column j is
+    ``init_beta(q, column_seed(seed, j))``."""
+    return np.column_stack([init_beta(q, column_seed(seed, j)) for j in range(k)])
+
+
 def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
     """Largest eigenvalue of (1/n) sum_i w_i^3 x_i x_i', a bound on the
     curvature of the robust loss."""
@@ -111,22 +118,34 @@ def proximal_gradient_fit(
 
 
 def proximal_gradient_fit_columns(
-    x: np.ndarray, y: np.ndarray, cfg: RobustConfig, pen: Penalty, lam: float, opt: OptimizerConfig
+    x: np.ndarray,
+    y: np.ndarray,
+    cfg: RobustConfig,
+    pen: Penalty,
+    lam: float,
+    opt: OptimizerConfig,
+    start: np.ndarray | None = None,
 ) -> list[FitResult]:
     """Fit the k regressions of ``y`` (n, k) on the shared design ``x`` (n, q),
     both finite float64, together: one proximal gradient step (threshold
     lam*step, with the step of ``opt``, by default 1/L of ``x``) for all
-    running columns per iteration.  Column j starts from
-    ``init_beta(q, column_seed(opt.seed, j))`` and stops on its own once its
-    iterates move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
+    running columns per iteration.  Column j starts from ``start[:, j]``
+    (``start`` is (q, k) and is not modified), by default from
+    ``init_columns(q, k, opt.seed)``, and stops on its own once its iterates
+    move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     q, k = x.shape[1], y.shape[1]
+    if start is None:
+        beta = init_columns(q, k, opt.seed)
+    else:
+        beta = np.asarray(start, dtype=np.float64)
+        if beta.shape != (q, k) or not np.all(np.isfinite(beta)):
+            raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {beta.shape}")
     pen.check_coverage(q)
     w = mallows_weights(x, cfg)
     step = _curvature_step(x, w) if opt.step is None else opt.step
     results: list = [None] * k
-    beta = np.column_stack([init_beta(q, column_seed(opt.seed, j)) for j in range(k)])
     cols = np.arange(k)  # index of each running column in the input
     for it in range(1, opt.max_iter + 1):
         stepped = beta - step * robust_gradient_columns(x, y, beta, w, cfg.tau)

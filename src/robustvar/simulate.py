@@ -2,9 +2,10 @@
 
 Each data-generating process validates its own stability criterion at
 construction time and simulates by iterating its recursion from a zero state,
-discarding a burn-in prefix.  Paths are single-stream: one seeded generator
-drives the whole path, so results are independent of how replications are
-scheduled across workers.
+discarding a burn-in prefix.  Each path draws all its noise from its own
+seeded generator, and linear VAR paths stacked into one recursion
+(:func:`simulate_paths`) each equal their single path bit for bit, so results
+are independent of how replications are batched or scheduled across workers.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "gen_er_transition",
     "sample_noise",
     "simulate",
+    "simulate_paths",
     "write_series_csv",
     "read_series_csv",
 ]
@@ -466,6 +468,69 @@ def gen_er_transition(
     )
 
 
+def _check_length(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+
+
+def _first_bad_step(rows: np.ndarray) -> SimulationError | None:
+    """The error for a path whose (steps, p) ``rows`` hold a non-finite value.
+    The lagged parts of a state are earlier rows, so the first non-finite row
+    is the first step whose state was non-finite."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        return SimulationError(f"non-finite state at step {int(bad.argmax()) + 1}")
+    return None
+
+
+def simulate_paths(
+    specs: list[VarTDgp], n: int, burn_in: int, seeds: list[int]
+) -> list[np.ndarray | SimulationError]:
+    """Run R linear VAR processes of one dimension p and lag d side by side:
+    path r is exactly ``simulate(specs[r], n, burn_in, seeds[r])``.
+
+    Each path draws its noise in one block from its own ``default_rng``; the
+    recursion then advances all R states with one stacked matrix-vector
+    product per step.  Each path is checked for finiteness on its own: the
+    entry of a path that turned non-finite is the :class:`SimulationError`
+    that :func:`simulate` raises for it, and the other paths are unaffected.
+    The stack holds the noise and the output of every path, burn-in
+    included, and each returned path is a view of that output, so a caller
+    bounds memory by the number of paths it stacks.
+    """
+    _check_length(n, burn_in)
+    if len(specs) != len(seeds):
+        raise ValueError(f"{len(specs)} processes but {len(seeds)} seeds")
+    if not all(isinstance(spec, VarTDgp) for spec in specs):
+        raise TypeError("simulate_paths takes VarTDgp processes only")
+    if not specs:
+        return []
+    p, d = specs[0].model.p, specs[0].model.d
+    if any((spec.model.p, spec.model.d) != (p, d) for spec in specs):
+        raise ValueError("all processes must share one dimension p and lag d")
+    steps, k = burn_in + n, p * d
+    m = np.stack([companion_matrix(spec.model) for spec in specs])
+    eps = np.empty((steps, len(specs), p))
+    for r, (spec, seed) in enumerate(zip(specs, seeds)):
+        eps[:, r] = sample_noise(spec.noise, (steps, p), np.random.default_rng(seed))
+    out = np.empty((len(specs), steps, p))
+    # two alternating state buffers, shaped (R, k, 1) so that each path's
+    # product is one matrix-vector product, which rounds like ``m @ state``
+    a, b = np.zeros((len(specs), k, 1)), np.empty((len(specs), k, 1))
+    legs = ((a, b, b[:, :p, 0]), (b, a, a[:, :p, 0]))
+    # as in simulate, the check after the loop reports any overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            state, nxt, head = legs[t & 1]
+            np.matmul(m, state, out=nxt)
+            head += eps[t]
+            out[:, t] = head
+    errors = [_first_bad_step(rows) for rows in out]
+    return [rows[burn_in:] if error is None else error for rows, error in zip(out, errors)]
+
+
 def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
     """Run a process for burn_in + n steps from a zero state and keep the last n.
 
@@ -475,27 +540,19 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
     from the same stream, also in one block.  The whole path is checked for
     finiteness once, after the last step; a non-finite path raises
     :class:`SimulationError` naming the first non-finite step, and callers
-    may retry with the next substream.
+    may retry with the next substream.  A :class:`VarTDgp` path is the
+    one-path case of :func:`simulate_paths`.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    if isinstance(spec, VarTDgp):
+        (path,) = simulate_paths([spec], n, burn_in, [seed])
+        if isinstance(path, SimulationError):
+            raise path
+        return path
+    _check_length(n, burn_in)
     steps = burn_in + n
     rng = np.random.default_rng(seed)
 
-    if isinstance(spec, VarTDgp):
-        p, d = spec.model.p, spec.model.d
-        m = companion_matrix(spec.model)
-        eps = sample_noise(spec.noise, (steps, p), rng)
-        state = np.zeros(p * d)
-
-        def step(t, state):
-            state = m @ state
-            state[:p] += eps[t]
-            return state
-
-    elif isinstance(spec, ArchVarDgp):
+    if isinstance(spec, ArchVarDgp):
         p = spec.b.shape[0]
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
@@ -571,11 +628,9 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         for t in range(steps):
             state = step(t, state)
             out[t] = state[:p]
-    # The lagged parts of a state are earlier rows of ``out``, so the first
-    # non-finite row is the first step whose state was non-finite.
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        raise SimulationError(f"non-finite state at step {int(bad.argmax()) + 1}")
+    error = _first_bad_step(out)
+    if error is not None:
+        raise error
     return out[burn_in:]
 
 

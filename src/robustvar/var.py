@@ -180,16 +180,18 @@ def theory_lambda(p: int, d: int, n: int, cfg: RobustConfig, c: float) -> float:
 
 
 def fit_var(
-    data: np.ndarray, d: int, fit: FitConfig
+    data: np.ndarray, d: int, fit: FitConfig, start: np.ndarray | None = None
 ) -> tuple[VarModel, list[FitResult]]:
     """Estimate a lag-d transition matrix by p penalized column regressions.
 
     All p share one penalty and tuning value and are solved together; each
-    keeps its own seed and stop test, so column order does not matter."""
+    keeps its own seed and stop test, so column order does not matter.
+    ``start`` (p*d, p), if given, replaces the seeded start, column by column
+    (see :func:`proximal_gradient_fit_columns`)."""
     x, y = _lagged_design(data, d)
     n, p = y.shape
     lam = fit.lambda_for(p, d, n)
-    results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt)
+    results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt, start)
     stacked = np.column_stack([r.beta_hat for r in results])
     coeffs = [stacked[k * p : (k + 1) * p, :] for k in range(d)]
     return VarModel(tuple(coeffs)), results

@@ -170,6 +170,7 @@ class TestExperimentCommand:
             raise AssertionError("simulate called")
 
         monkeypatch.setattr("robustvar.experiments.simulate", no_simulate)
+        monkeypatch.setattr("robustvar.experiments.simulate_paths", no_simulate)
         spec_path = tmp_path / "exp.json"
         for bad, message in [({"tol": 0}, "tol must be positive"),
                              ({"n_grid": [1]}, "n must be at least 2")]:

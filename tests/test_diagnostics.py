@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import robustvar.experiments as exps
 from robustvar import (
     Penalty,
     Regression,
     RobustConfig,
     SignPartition,
+    SimulationError,
     StudentTNoise,
     ThresholdVarDgp,
+    VarModel,
+    VarTDgp,
     deviation_check,
+    gen_er_transition,
     huber_value,
     indicator_map,
     mallows_weights,
@@ -22,6 +27,7 @@ from robustvar import (
     simulate,
 )
 from robustvar import diagnostics
+from robustvar._seeds import derive_seed
 from robustvar.diagnostics import _re_probe, diagnostics_replication, write_reports_csv
 from robustvar.experiments import run_deviation_experiment
 from robustvar.losses import robust_objective_columns
@@ -285,6 +291,35 @@ class TestReplicationDriver:
         a = run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)
         b = run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)
         assert [r.deviation_stat for r in a] == [r.deviation_stat for r in b]
+
+    def test_experiment_draws_single_paths(self, monkeypatch):
+        # room for four 15-step paths of p=3 per stacked recursion, so ten
+        # replications take three
+        monkeypatch.setattr(exps, "_STACK_BYTES", 4 * 16 * 15 * 3)
+        reps = 10
+        reports = run_deviation_experiment(3, 10, 2.5, 1.0, 3.0, c=0.5, replications=reps,
+                                           seed=4, burn_in=5, column=1)
+        expected = []
+        for rep in range(reps):
+            rep_seed = derive_seed(4, rep)
+            truth = VarModel((gen_er_transition(3, 0.05, 0.5, derive_seed(rep_seed, 0)),))
+            data = simulate(VarTDgp(truth, StudentTNoise(2.5)), 10, 5, derive_seed(rep_seed, 1))
+            expected.append(deviation_check(Regression(data[1:, 1], data[:-1]),
+                                            truth.stacked()[:, 1], RobustConfig(1.0, 3.0),
+                                            Penalty("l1"), reports[0].lambda_half * 2))
+        assert [(r.deviation_stat, r.deviation_pass) for r in reports] == expected
+
+    def test_experiment_nonfinite_path_raises(self, monkeypatch):
+        real = exps.simulate_paths
+
+        def second_fails(specs, n, burn_in, seeds):
+            paths = real(specs, n, burn_in, seeds)
+            paths[1] = SimulationError("non-finite state at step 4")
+            return paths
+
+        monkeypatch.setattr(exps, "simulate_paths", second_fails)
+        with pytest.raises(SimulationError, match="at step 4$"):
+            run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)
 
     def test_reports_csv(self, tmp_path):
         reports = run_deviation_experiment(

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ import pytest
 import robustvar.experiments as exps
 from robustvar import (
     ExperimentSpec,
+    StudentTNoise,
+    VarModel,
+    VarTDgp,
     aggregate,
     case1_medium,
     case1_small,
@@ -19,12 +23,29 @@ from robustvar import (
     case2,
     case3,
     emit_csv,
+    estimation_error,
+    fit_var,
+    gen_er_transition,
     read_results_csv,
     run_experiment,
+    simulate,
 )
+from robustvar._seeds import derive_seed
 from robustvar.experiments import spec_from_dict, spec_to_dict, write_provenance
 from robustvar.simulate import SimulationError
 from robustvar.svgplot import emit_svg_lines
+
+
+def record_stacks(monkeypatch):
+    """Make ``exps.simulate_paths`` record the (paths, n) of each call."""
+    calls, real = [], exps.simulate_paths
+
+    def spy(specs, n, burn_in, seeds):
+        calls.append((len(specs), n))
+        return real(specs, n, burn_in, seeds)
+
+    monkeypatch.setattr(exps, "simulate_paths", spy)
+    return calls
 
 
 def tiny_spec(**kw):
@@ -126,11 +147,108 @@ class TestRunExperiment:
         def boom(*a, **k):
             raise SimulationError("non-finite state at step 1")
 
+        def boom_stacked(specs, *a, **k):
+            return [SimulationError("non-finite state at step 1") for _ in specs]
+
         monkeypatch.setattr(exps, "simulate", boom)
+        monkeypatch.setattr(exps, "simulate_paths", boom_stacked)
         rows = run_experiment(tiny_spec())
         assert len(rows) == 2
         assert all(math.isnan(r["error"]) for r in rows)
         assert all(not r["converged"] for r in rows)
+
+    def test_mixed_n_grid_same_bytes_for_any_worker_count(self, tmp_path):
+        spec = tiny_spec(p=5, n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
+        texts = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.csv"
+            emit_csv(run_experiment(spec, workers=workers), path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        # each row is a fit on the replication's own single path
+        for row in run_experiment(spec):
+            b = gen_er_transition(5, spec.density, spec.rho_target, derive_seed(row["seed"], 0))
+            truth = VarModel((b,))
+            data = simulate(VarTDgp(truth, StudentTNoise(row["df"])), row["n"], spec.burn_in,
+                            derive_seed(row["seed"], 1, 0))
+            est, _ = fit_var(data, 1, spec.fit_config(row["tau"], derive_seed(row["seed"], 2)))
+            assert row["error"] == estimation_error(est, truth)
+
+    def test_one_stacked_recursion_per_n_in_a_batch(self, monkeypatch):
+        def no_simulate(*a, **k):
+            raise AssertionError("simulate called, but no path failed")
+
+        calls = record_stacks(monkeypatch)
+        monkeypatch.setattr(exps, "simulate", no_simulate)
+        run_experiment(tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3))
+        assert calls == [(6, 20), (6, 35)]
+
+    def test_failed_path_retries_alone(self, monkeypatch, caplog):
+        spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
+        expected = run_experiment(spec)
+        real_paths, real_simulate, retried = exps.simulate_paths, exps.simulate, []
+
+        def second_fails(specs, n, burn_in, seeds):
+            paths = real_paths(specs, n, burn_in, seeds)
+            paths[1] = SimulationError("non-finite state at step 3")
+            return paths
+
+        def counted(*args):
+            retried.append(args[3])
+            return real_simulate(*args)
+
+        monkeypatch.setattr(exps, "simulate_paths", second_fails)
+        monkeypatch.setattr(exps, "simulate", counted)
+        with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
+            rows = run_experiment(spec)
+        # the second task is cell 0, rep 1: two rows, one per tau
+        assert [r.getMessage() for r in caplog.records] == [
+            "cell 0 rep 1 attempt 0: non-finite state at step 3"]
+        assert retried == [derive_seed(derive_seed(spec.seed, 0, 1), 1, 1)]
+        assert rows[:2] == expected[:2] and rows[4:] == expected[4:]
+        assert all(math.isfinite(r["error"]) for r in rows[2:4])
+
+    def test_stacks_bounded_by_bytes(self, monkeypatch):
+        spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
+        expected = run_experiment(spec)
+        # four 70-step paths of p=4, or three 85-step ones
+        monkeypatch.setattr(exps, "_STACK_BYTES", 4 * 16 * 70 * 4)
+        calls = record_stacks(monkeypatch)
+        assert run_experiment(spec) == expected
+        assert calls == [(4, 20), (2, 20), (3, 35), (3, 35)]
+
+    def test_batches_share_each_n(self, monkeypatch):
+        # tasks are dealt out in turn, so each worker draws paths of both n
+        spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
+        expected = run_experiment(spec)
+        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)
+        calls = record_stacks(monkeypatch)
+        assert run_experiment(spec, workers=2) == expected
+        assert sorted(calls) == [(2, 20), (2, 35), (4, 20), (4, 35)]
+
+    @pytest.mark.parametrize("workers, started", [(2, 2), (8, 4)])
+    def test_no_idle_workers_started(self, monkeypatch, workers, started):
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):  # records the pool size, starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(exps, "ProcessPoolExecutor", Pool)
+        spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
+        assert run_experiment(spec, workers=workers) == run_experiment(spec)
+        assert sizes == [started]
+
+    def test_each_task_draws_its_start_once(self, monkeypatch):
+        def no_default_start(*a, **k):
+            raise AssertionError("a fit drew its own start")
+
+        calls, real = [], exps.init_columns
+        monkeypatch.setattr("robustvar.optimizer.init_columns", no_default_start)
+        monkeypatch.setattr(exps, "init_columns", lambda *a: calls.append(a) or real(*a))
+        rows = run_experiment(tiny_spec(replications=3, tau_grid=(1.0, 3.0, 10.0)))
+        assert len(rows) == 9 and len(calls) == 3
 
     def test_explicit_step_beyond_curvature_warns_once_per_replication(self, caplog):
         spec = tiny_spec(replications=2, step=1e3, max_iter=5)

@@ -26,6 +26,7 @@ from robustvar import (
     read_series_csv,
     sample_noise,
     simulate,
+    simulate_paths,
     spectral_radius,
     write_series_csv,
 )
@@ -283,6 +284,81 @@ class TestSimulate:
             simulate(spec, 0, 0, seed=0)
         with pytest.raises(ValueError):
             simulate(spec, 5, -1, seed=0)
+
+
+def reference_path(spec, n, burn_in, seed):
+    """The one-path VAR recursion written out: noise drawn in one block, then
+    state = m @ state with the noise added to the leading p coordinates."""
+    p = spec.model.p
+    eps = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+    m = companion_matrix(spec.model)
+    state = np.zeros(p * spec.model.d)
+    rows = np.empty((burn_in + n, p))
+    for t in range(burn_in + n):
+        state = m @ state
+        state[:p] += eps[t]
+        rows[t] = state[:p]
+    return rows[burn_in:]
+
+
+def var_models(p, d, count):
+    """``count`` different stable lag-d models of dimension p."""
+    rng = np.random.default_rng(10 * p + d)
+    return [VarModel(tuple(0.5 / d * m / np.linalg.norm(m, 2) for m in rng.standard_normal((d, p, p))))
+            for _ in range(count)]
+
+
+NOISES = {
+    "t": StudentTNoise(2.5),
+    "gaussian": GaussianNoise(2.0),
+    "mixture": ScaleMixtureNoise(((0.9, 1.0), (0.1, 20.0))),
+}
+
+
+class TestSimulatePaths:
+    @pytest.mark.parametrize("paths", [1, 5, 65])
+    @pytest.mark.parametrize("noise", sorted(NOISES))
+    @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (10, 1), (10, 2), (50, 1), (50, 2)])
+    def test_each_path_is_its_single_path(self, p, d, noise, paths):
+        # five different processes, cycled, keep a 65-path stack cheap to build
+        specs = [VarTDgp(model, NOISES[noise]) for model in var_models(p, d, min(paths, 5))]
+        specs = [specs[r % len(specs)] for r in range(paths)]
+        seeds = [1000 + 17 * r for r in range(paths)]
+        stacked = simulate_paths(specs, 30, 25, seeds)
+        assert len(stacked) == paths
+        for spec, seed, path in zip(specs, seeds, stacked):
+            np.testing.assert_array_equal(path, reference_path(spec, 30, 25, seed))
+            np.testing.assert_array_equal(path, simulate(spec, 30, 25, seed))
+
+    def test_diverging_path_fails_alone(self):
+        # radius 0.5, but one step multiplies the second coordinate by 1e9,
+        # so a 1e300-scale shock overflows within a few steps
+        wild = VarTDgp(VarModel((np.array([[0.5, 0.0], [1e9, 0.5]]),)), GaussianNoise(1e300))
+        tame = [VarTDgp(model, StudentTNoise(3.0)) for model in var_models(2, 1, 3)]
+        specs, seeds = [tame[0], wild, tame[1], tame[2]], [5, 6, 7, 8]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            paths = simulate_paths(specs, 40, 10, seeds)
+        with pytest.raises(SimulationError) as single:
+            simulate(wild, 40, 10, 6)
+        assert isinstance(paths[1], SimulationError)
+        assert str(paths[1]) == str(single.value)
+        assert str(paths[1]).startswith("non-finite state at step ")
+        for k in (0, 2, 3):
+            np.testing.assert_array_equal(paths[k], simulate(specs[k], 40, 10, seeds[k]))
+
+    def test_bad_args(self):
+        one = VarTDgp(VarModel((np.zeros((2, 2)),)))
+        two = VarTDgp(VarModel((np.zeros((2, 2)), np.zeros((2, 2)))))
+        assert simulate_paths([], 5, 0, []) == []
+        with pytest.raises(ValueError, match="one dimension p and lag d"):
+            simulate_paths([one, two], 5, 0, [1, 2])
+        with pytest.raises(ValueError, match="2 processes but 1 seeds"):
+            simulate_paths([one, one], 5, 0, [1])
+        with pytest.raises(TypeError, match="VarTDgp"):
+            simulate_paths([RcVarDgp(np.zeros((2, 2)), 0.1)], 5, 0, [1])
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            simulate_paths([one], 0, 0, [1])
 
 
 class TestBekkScale:

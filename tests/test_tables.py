@@ -2,9 +2,12 @@
 UTF-8, LF endings, comma cells, floats at 17 significant digits (``nan``,
 ``-0``), booleans as ``true``/``false``."""
 
-import numpy as np
+import re
 
-from robustvar import VarModel, emit_csv, write_series_csv, write_var_model_csv
+import numpy as np
+import pytest
+
+from robustvar import VarModel, emit_csv, read_results_csv, write_series_csv, write_var_model_csv
 from robustvar.diagnostics import DiagnosticsReport, write_reports_csv
 
 THIRD = 1.0 / 3.0
@@ -59,3 +62,21 @@ class TestExactBytes:
             "0,0.20000000000000001,0.25,true,0.33333333333333331,10,-0 0.10000000000000001 0\n"
             "1,0.33333333333333331,0.19645545214236859,false,nan,0,\n"
         )
+
+
+class TestBooleanCells:
+    HEADER = "case,p,n,d,df,tau,lambda,rep,error,iterations,converged,seed\n"
+    ROW = "custom,3,20,1,3,1,0.5,0,0.25,4,{},7\n"
+
+    def test_true_and_false_read_back(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(self.HEADER + self.ROW.format("true") + self.ROW.format("false"))
+        assert [row["converged"] for row in read_results_csv(path)] == [True, False]
+
+    @pytest.mark.parametrize("cell", ["yes", "True", "x", "", "1", "false "])
+    def test_other_text_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "r.csv"
+        path.write_text(self.HEADER + self.ROW.format("true") + self.ROW.format(cell))
+        message = f"line 3, column converged: {cell!r} is not true or false"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_results_csv(path)

@@ -22,11 +22,14 @@ from robustvar import (
     proximal_gradient_fit,
     read_var_model_csv,
     rescale_to_radius,
+    robust_gradient,
+    soft_threshold,
     spectral_radius,
     theory_lambda,
     write_var_model_csv,
 )
 from robustvar._seeds import column_seed
+from robustvar.optimizer import init_columns
 
 
 def charpoly_roots_radius(a):
@@ -234,6 +237,35 @@ class TestFitVar:
             assert results[j].converged == direct.converged
             np.testing.assert_allclose(results[j].beta_hat, direct.beta_hat, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(est.coeffs[0][:, j], results[j].beta_hat)
+
+    def test_start_replaces_the_seeded_start(self):
+        rng = np.random.default_rng(13)
+        p = 4
+        data = np.cumsum(rng.standard_t(3, (60, p)) * 0.3, axis=0)
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.02, opt=OptimizerConfig(seed=5))
+        est, results = fit_var(data, 1, fit)
+        start = init_columns(p, p, 5)
+        kept = start.copy()
+        for _ in range(2):  # a start can be shared: no fit modifies it
+            given, given_results = fit_var(data, 1, fit, start)
+            np.testing.assert_array_equal(given.stacked(), est.stacked())
+            assert [r.iterations for r in given_results] == [r.iterations for r in results]
+        np.testing.assert_array_equal(start, kept)
+        # any other start is used as given: one fixed step from zero
+        one_step = replace(fit, opt=OptimizerConfig(step=0.1, max_iter=1, seed=5))
+        est0, _ = fit_var(data, 1, one_step, np.zeros((p, p)))
+        for j, reg in enumerate(decompose_regressions(data, 1)):
+            expected = soft_threshold(-0.1 * robust_gradient(reg, np.zeros(p), cfg), 0.02 * 0.1)
+            np.testing.assert_allclose(est0.coeffs[0][:, j], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("start", [np.zeros((4, 5)), np.zeros(4), np.full((4, 4), np.nan)],
+                             ids=["columns", "vector", "nan"])
+    def test_bad_start_rejected(self, start):
+        data = np.random.default_rng(2).standard_normal((30, 4))
+        fit = FitConfig(RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=0.1)
+        with pytest.raises(ValueError, match=r"^start must be a finite \(4, 4\) array"):
+            fit_var(data, 1, fit, start)
 
     def test_divergence_names_column(self):
         # the last design row times the clipped residual of column 1's last
