@@ -1,9 +1,9 @@
-"""Deterministic 64-bit seed derivation for parallel and per-column RNG streams.
+"""Deterministic 64-bit seed derivation for the (cell, replication, retry) streams.
 
 All randomness in the package flows through ``numpy.random.default_rng``
-seeded with integers produced here, so results are independent of thread or
-worker count as long as the same (seed, path) pairs are used.
-"""
+seeded with integers produced here or given by the caller (a fit's start draws
+all its columns from one generator), so results are independent of thread or
+worker count as long as the same (seed, path) pairs are used."""
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15  # floor(2^64 / golden ratio), odd
@@ -14,15 +14,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return (x ^ (x >> 31)) & MASK64
-
-
-def column_seed(seed: int, j: int) -> int:
-    """Optimizer seed for column ``j``: seed XOR golden-ratio-multiplied index.
-
-    Column 0 maps to ``seed`` itself, so fitting a single-column model is
-    bit-identical to calling the optimizer directly with the same seed.
-    """
-    return (seed ^ ((j * GOLDEN64) & MASK64)) & MASK64
 
 
 def derive_seed(seed: int, *path: int) -> int:

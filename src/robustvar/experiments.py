@@ -13,6 +13,7 @@ generator instead of fitting; both check its settings once, up front.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -295,14 +296,19 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     """Run the full grid x replication sweep; returns one row dict per
     (cell, tau, replication).
 
-    ``workers`` defaults to the ROBUSTVAR_WORKERS environment variable (or 1).
+    ``workers`` defaults to the ROBUSTVAR_WORKERS environment variable (or 1);
+    a count that is not an integer of at least 1 raises ValueError naming it.
     The (cell, replication) tasks are dealt out to one batch per worker in
     turn, so every batch holds a share of each n, and no more workers start
     than there are tasks.  Output is identical for any worker count: tasks
     are seeded independently and merged in grid order.
     """
+    name = "workers"
     if workers is None:
-        workers = int(os.environ.get("ROBUSTVAR_WORKERS", "1"))
+        name, workers = "ROBUSTVAR_WORKERS", os.environ.get("ROBUSTVAR_WORKERS", "1")
+        with contextlib.suppress(ValueError):
+            workers = int(workers)
+    _check_int(name, workers, 1)
     # cell indices seed the replications, so this (df, n) order is fixed
     cells = enumerate(itertools.product(spec.df_grid, spec.n_grid))
     tasks = [(ci, df, n, rep) for ci, (df, n) in cells for rep in range(spec.replications)]

@@ -219,7 +219,9 @@ def robust_gradient_columns(
     x: np.ndarray, y: np.ndarray, beta: np.ndarray, w: np.ndarray, tau: float
 ) -> np.ndarray:
     """Gradients (q, k) at ``beta`` (q, k) of the k regressions of ``y`` (n, k) on the
-    shared design ``x`` (n, q) with weights ``w``; inputs are not validated."""
+    shared design ``x`` (n, q) with weights ``w``, computed in place; not validated."""
     wc = w[:, None]
-    lp = np.clip(wc * (y - x @ beta), -tau, tau)
-    return -(x.T @ (lp * (wc * wc))) / x.shape[0]
+    r = x @ beta
+    np.clip(np.multiply(np.subtract(y, r, out=r), wc, out=r), -tau, tau, out=r)
+    g = x.T @ np.multiply(r, wc * wc, out=r)
+    return np.divide(np.negative(g, out=g), x.shape[0], out=g)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _check_int
-from ._seeds import column_seed
 from .losses import Regression, RobustConfig, mallows_weights, robust_gradient_columns
 from .penalties import Penalty, prox
 
@@ -69,21 +68,21 @@ class FitResult:
 
 
 def init_beta(q: int, seed: int) -> np.ndarray:
-    """Random unit starting point: iid Uniform(-1, 1) coordinates, normalized."""
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q}")
-    rng = np.random.default_rng(seed)
-    while True:
-        v = rng.uniform(-1.0, 1.0, q)
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            return v / nrm
+    """Random unit starting point: the one-column case of :func:`init_columns`."""
+    return init_columns(q, 1, seed)[:, 0]
 
 
 def init_columns(q: int, k: int, seed: int) -> np.ndarray:
-    """The (q, k) seeded start of a k-column fit: column j is
-    ``init_beta(q, column_seed(seed, j))``."""
-    return np.column_stack([init_beta(q, column_seed(seed, j)) for j in range(k)])
+    """The (q, k) seeded start of a k-column fit: k rows of q iid Uniform(-1, 1)
+    draws from one generator seeded with ``seed``, row j normalised into
+    column j, so column j depends only on (seed, q, j).  An all-zero row is
+    redrawn from the same generator."""
+    _check_int("q", q, 1)
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, (k, q))
+    while not (nrm := np.linalg.norm(v, axis=1)).all():
+        v[nrm == 0] = rng.uniform(-1.0, 1.0, (np.count_nonzero(nrm == 0), q))
+    return (v / nrm[:, None]).T.copy()
 
 
 def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
@@ -95,14 +94,6 @@ def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
 def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
     xw = x * (w ** 1.5)[:, None]
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
-
-
-def _curvature_step(x: np.ndarray, w: np.ndarray) -> float:
-    """1/L for the design ``x`` with weights ``w``.  An all-zero design has
-    L = 0 and an identically zero gradient, so any finite step is exact there;
-    it gets step 1."""
-    lip = _lipschitz_bound(x, w)
-    return 1.0 / lip if lip > 0 else 1.0
 
 
 def proximal_gradient_fit(
@@ -144,16 +135,19 @@ def proximal_gradient_fit_columns(
             raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {beta.shape}")
     pen.check_coverage(q)
     w = mallows_weights(x, cfg)
-    step = _curvature_step(x, w) if opt.step is None else opt.step
+    if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1
+        lip = _lipschitz_bound(x, w)
+        step = 1.0 / lip if lip > 0 else 1.0
     results: list = [None] * k
     cols = np.arange(k)  # index of each running column in the input
     for it in range(1, opt.max_iter + 1):
-        stepped = beta - step * robust_gradient_columns(x, y, beta, w, cfg.tau)
-        if not np.all(np.isfinite(stepped)):
-            raise DivergenceError(it, int(cols[np.argmin(np.isfinite(stepped).all(axis=0))]))
-        # unvalidated prox: stepped is finite, lam * step >= 0, groups checked above
+        g = robust_gradient_columns(x, y, beta, w, cfg.tau)
+        stepped = np.subtract(beta, np.multiply(g, step, out=g), out=g)
+        # unvalidated prox; a column has a non-finite change exactly when it diverged
         beta_new = prox(pen, stepped, lam * step)
-        change = np.linalg.norm(beta_new - beta, axis=0)
+        change = np.linalg.norm(np.subtract(beta_new, beta, out=stepped), axis=0)
+        if not np.isfinite(change).all() and not (ok := np.isfinite(beta_new).all(axis=0)).all():
+            raise DivergenceError(it, int(cols[np.argmin(ok)]))
         beta = beta_new
         done = (change <= opt.tol) | (it == opt.max_iter)
         for i in np.flatnonzero(done):

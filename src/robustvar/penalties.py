@@ -100,11 +100,13 @@ def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarra
 
 
 def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:
-    """Proximal operator of alpha times the penalty norm, applied to each column
-    of the finite float64 (q, k) matrix ``v``, for alpha >= 0 and, with a group
-    penalty, groups that partition the q rows; inputs are not validated."""
-    if pen.kind == "l1":
-        return np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
+    """Proximal operator of alpha times the penalty norm on each column of the
+    float64 (q, k) matrix ``v``, for alpha >= 0 and groups that partition the q
+    rows (not validated); a column comes out finite exactly when it goes in."""
+    if pen.kind == "l1":  # sign(v) * max(|v| - alpha, 0), into one buffer
+        out = np.abs(v)
+        np.maximum(np.subtract(out, alpha, out=out), 0.0, out=out)
+        return np.multiply(out, np.sign(v), out=out)
     out = np.zeros_like(v)
     for g in pen.groups:
         idx = list(g)

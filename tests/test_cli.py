@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import runpy
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +182,27 @@ class TestExperimentCommand:
             assert err.startswith(f"error: ValueError: {message}")
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--workers", "0"], None, "workers must be at least 1, got 0"),
+        (["--workers", "-3"], None, "workers must be at least 1, got -3"),
+        ([], "abc", "ROBUSTVAR_WORKERS must be an integer, got 'abc'"),
+        ([], "0", "ROBUSTVAR_WORKERS must be at least 1, got 0"),
+    ])
+    def test_bad_worker_count_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch, flag, env, message
+    ):
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr("robustvar.experiments.simulate_paths", no_simulate)
+        if env is not None:
+            monkeypatch.setenv("ROBUSTVAR_WORKERS", env)
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps({"output_dir": str(tmp_path / "out")}))
+        assert run(["experiment", "--spec", str(spec_path), *flag]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_lag_key_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(json.dumps({"d": 1, "output_dir": str(tmp_path / "out")}))
@@ -322,6 +345,20 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert run([]) == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path, capsys, monkeypatch):
+        # `python -m robustvar` is the console script, and imports without a warning
+        model = tmp_path / "model.csv"
+        model.write_text("# varmodel p=1 d=1\n0.5\n")
+        monkeypatch.setattr("sys.argv", ["robustvar", "check-stability", "--model", str(model)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("robustvar", run_name="__main__", alter_sys=True)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "p=1 d=1 spectral_radius=0.5 stable=true\n"
 
 
 class TestDgpFromDict:

@@ -226,6 +226,37 @@ class TestRunExperiment:
         assert run_experiment(spec, workers=2) == expected
         assert sorted(calls) == [(2, 20), (2, 35), (4, 20), (4, 35)]
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2"])
+    def test_bad_worker_count_rejected(self, monkeypatch, workers):
+        monkeypatch.setattr(exps, "simulate_paths", None)  # nothing may be drawn
+        with pytest.raises(ValueError, match=r"^workers must be "):
+            run_experiment(tiny_spec(), workers=workers)
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "an integer, got 'abc'"), ("1.5", "an integer, got '1.5'"),
+        ("", "an integer, got ''"), ("0", "at least 1, got 0"), ("-3", "at least 1, got -3"),
+    ])
+    def test_bad_worker_variable_rejected(self, monkeypatch, value, message):
+        monkeypatch.setenv("ROBUSTVAR_WORKERS", value)
+        monkeypatch.setattr(exps, "simulate_paths", None)
+        with pytest.raises(ValueError, match=f"^ROBUSTVAR_WORKERS must be {message}$"):
+            run_experiment(tiny_spec())
+
+    def test_worker_variable_read(self, monkeypatch):
+        sizes = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(exps, "ProcessPoolExecutor", Pool)
+        spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
+        expected = run_experiment(spec, workers=1)
+        monkeypatch.setenv("ROBUSTVAR_WORKERS", " 2 ")
+        assert run_experiment(spec) == expected
+        assert sizes == [2]
+
     @pytest.mark.parametrize("workers, started", [(2, 2), (8, 4)])
     def test_no_idle_workers_started(self, monkeypatch, workers, started):
         sizes = []

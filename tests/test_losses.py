@@ -15,6 +15,7 @@ from robustvar import (
     robust_gradient,
     robust_objective,
 )
+from robustvar.losses import robust_gradient_columns
 
 
 def naive_objective(y, x, beta, tau, b, shrink=None, form="linear"):
@@ -48,6 +49,14 @@ def naive_gradient(y, x, beta, tau, b):
         lp = max(-tau, min(tau, r))
         g -= lp * w * w * x[i]
     return g / n
+
+
+def out_of_place_gradient(x, y, beta, w, tau):
+    """The out-of-place form of the ``robust_gradient_columns`` expression,
+    a bit-for-bit oracle for its in-place computation."""
+    wc = w[:, None]
+    lp = np.clip(wc * (y - x @ beta), -tau, tau)
+    return -(x.T @ (lp * (wc * wc))) / x.shape[0]
 
 
 def fd_gradient(reg, beta, cfg, h=1e-6):
@@ -275,3 +284,22 @@ class TestRobustGradient:
         g = robust_gradient(reg, beta, cfg)
         g_fd = fd_gradient(reg, beta, cfg)
         assert np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd) <= 1e-6
+
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_columns_equal_out_of_place_oracle(self, k):
+        # rows past the Mallows radius (w < 1) and residuals on both sides
+        # of +-tau; every bit of the in-place kernel matches the oracle
+        rng = np.random.default_rng(100 + k)
+        n, q, tau = 60, 7, 0.8
+        x = rng.standard_t(2, (n, q))
+        w = mallows_weights(x, RobustConfig(tau=tau, b=2.0))
+        y = rng.standard_t(2, (n, k)) * 3
+        beta = rng.standard_normal((q, k))
+        wr = np.abs(w[:, None] * (y - x @ beta))
+        assert (w < 1).any() and (w == 1).any() and (wr > tau).any() and (wr < tau).any()
+        kept = (x.copy(), y.copy(), beta.copy(), w.copy())
+        got = robust_gradient_columns(x, y, beta, w, tau)
+        assert got.shape == (q, k)
+        assert got.tobytes() == out_of_place_gradient(x, y, beta, w, tau).tobytes()
+        for before, after in zip(kept, (x, y, beta, w)):
+            np.testing.assert_array_equal(before, after)

@@ -16,6 +16,8 @@ from robustvar import (
     robust_objective,
     soft_threshold,
 )
+from robustvar.losses import mallows_weights
+from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
 from robustvar.penalties import penalty_value
 
 from conftest import cd_robust_lasso
@@ -34,6 +36,16 @@ class TestInitBeta:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(init_beta(4, 0), init_beta(4, 1))
+
+    def test_column_depends_only_on_seed_q_and_index(self):
+        for q in (1, 3, 50):
+            wide = init_columns(q, 20, 9)
+            assert wide.shape == (q, 20) and wide.flags.c_contiguous
+            np.testing.assert_allclose(np.linalg.norm(wide, axis=0), 1.0, rtol=0, atol=1e-12)
+            for k in (1, 2, 7, 19):
+                np.testing.assert_array_equal(init_columns(q, k, 9), wide[:, :k])
+            np.testing.assert_array_equal(init_beta(q, 9), wide[:, 0])
+        assert not np.array_equal(init_columns(4, 2, 0), init_columns(4, 2, 1))
 
 
 class TestProximalGradientFit:
@@ -188,6 +200,38 @@ class TestProximalGradientFit:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.0, opt)
         assert exc.value.iteration > 0
+
+    def test_diverging_column_named_at_its_iteration(self):
+        # a step of 3/L doubles the error along the top curvature direction
+        # each iteration; columns 0 and 2 start 1e-10 from their exact fit,
+        # column 1 one unit away, so column 1 overflows first, many
+        # iterations in, while all three still run
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 4))
+        truth = rng.standard_normal((4, 3))
+        y = x @ truth
+        start = truth + 1e-10
+        start[:, 1] += 1.0
+        cfg = RobustConfig(tau=1e308, b=1e308)
+        w = mallows_weights(x, cfg)
+        step = 3.0 / gradient_lipschitz_bound(Regression(y[:, 0], x), cfg)
+        opt = OptimizerConfig(step=step, tol=1e-300, max_iter=5000)
+
+        # oracle: out-of-place steps, stopped at the first stepped point with
+        # a non-finite coordinate, checked before the prox
+        beta, wc = start.copy(), w[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for it in range(1, opt.max_iter + 1):
+                lp = np.clip(wc * (y - x @ beta), -cfg.tau, cfg.tau)
+                stepped = beta - step * (-(x.T @ (lp * (wc * wc))) / x.shape[0])
+                if not np.all(np.isfinite(stepped)):
+                    break
+                beta = np.sign(stepped) * np.maximum(np.abs(stepped) - 0.0, 0.0)
+            assert it > 100
+            assert np.isfinite(stepped[:, [0, 2]]).all() and not np.isfinite(stepped[:, 1]).all()
+            with pytest.raises(DivergenceError) as exc:
+                proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.0, opt, start)
+        assert (exc.value.column, exc.value.iteration) == (1, it)
 
     def test_max_iter_cap_sets_flag(self):
         rng = np.random.default_rng(11)

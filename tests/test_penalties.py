@@ -10,6 +10,7 @@ from robustvar import (
     penalty_value,
     soft_threshold,
 )
+from robustvar.penalties import prox
 
 
 def golden_min(fun, lo, hi, iters=120):
@@ -144,6 +145,18 @@ class TestSoftThreshold:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_prox_equals_formula_bit_for_bit(self, alpha):
+        # signed zeros, values at +-alpha and non-finite values included
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((9, 4)) * 2
+        v[:, 0] = [0.0, -0.0, alpha, -alpha, np.inf, -np.inf, np.nan, 1e-300, -1e300]
+        kept = v.copy()
+        got = prox(Penalty("l1"), v, alpha)
+        want = np.sign(v) * np.maximum(np.abs(v) - alpha, 0.0)
+        assert got.tobytes() == want.tobytes()
+        assert v.tobytes() == kept.tobytes()
 
 
 class TestGroupSoftThreshold:
