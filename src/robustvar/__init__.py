@@ -9,37 +9,24 @@ diagnostics, and a replicated experiment harness with CSV/SVG output.
 from .losses import (
     Regression,
     RobustConfig,
-    huber_derivative,
-    huber_value,
-    mallows_weight,
     mallows_weights,
     robust_gradient,
     robust_objective,
 )
-from .penalties import (
-    Penalty,
-    dual_value,
-    group_soft_threshold,
-    penalty_value,
-    soft_threshold,
-)
+from .penalties import Penalty, dual_value
 from .optimizer import (
     DivergenceError,
     FitResult,
     OptimizerConfig,
     gradient_lipschitz_bound,
-    init_beta,
-    proximal_gradient_fit,
 )
 from .var import (
     FitConfig,
     VarModel,
     companion_matrix,
-    decompose_regressions,
     estimation_error,
     fit_var,
     read_var_model_csv,
-    rescale_to_radius,
     spectral_radius,
     theory_lambda,
     write_var_model_csv,

@@ -54,6 +54,8 @@ from .var import (
     write_var_model_csv,
 )
 
+__all__ = ["build_parser", "cli_main", "dgp_from_dict", "main"]
+
 
 _NOISES = {
     "student_t": StudentTNoise,

@@ -18,9 +18,6 @@ import numpy as np
 __all__ = [
     "RobustConfig",
     "Regression",
-    "huber_value",
-    "huber_derivative",
-    "mallows_weight",
     "mallows_weights",
     "robust_objective",
     "robust_objective_columns",
@@ -101,37 +98,10 @@ class Regression:
         return self.x.shape[1]
 
 
-def huber_value(u, tau: float):
-    """Huber loss: u^2/2 inside [-tau, tau], tau*|u| - tau^2/2 outside."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("huber_value requires finite input")
-    out = _huber(u, tau)
-    return float(out) if out.ndim == 0 else out
-
-
 def _huber(u: np.ndarray, tau: float) -> np.ndarray:
     """Elementwise Huber loss of a float64 array; inputs are not validated."""
     au = np.abs(u)
     return np.where(au <= tau, 0.5 * u * u, tau * au - 0.5 * tau * tau)
-
-
-def huber_derivative(u, tau: float):
-    """Derivative of the Huber loss: u clipped to [-tau, tau]."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("huber_derivative requires finite input")
-    out = np.clip(u, -tau, tau)
-    return float(out) if out.ndim == 0 else out
-
-
-def mallows_weight(x: np.ndarray, cfg: RobustConfig) -> float:
-    """Weight in (0, 1] for one predictor row; 1 when the shrunk norm is zero."""
-    return float(mallows_weights(np.asarray(x, dtype=np.float64)[None, :], cfg)[0])
 
 
 def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:

@@ -14,10 +14,8 @@ __all__ = [
     "OptimizerConfig",
     "FitResult",
     "DivergenceError",
-    "init_beta",
     "init_columns",
     "gradient_lipschitz_bound",
-    "proximal_gradient_fit",
     "proximal_gradient_fit_columns",
 ]
 
@@ -67,11 +65,6 @@ class FitResult:
     step: float
 
 
-def init_beta(q: int, seed: int) -> np.ndarray:
-    """Random unit starting point: the one-column case of :func:`init_columns`."""
-    return init_columns(q, 1, seed)[:, 0]
-
-
 def init_columns(q: int, k: int, seed: int) -> np.ndarray:
     """The (q, k) seeded start of a k-column fit: k rows of q iid Uniform(-1, 1)
     draws from one generator seeded with ``seed``, row j normalised into
@@ -94,18 +87,6 @@ def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
 def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
     xw = x * (w ** 1.5)[:, None]
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
-
-
-def proximal_gradient_fit(
-    reg: Regression,
-    cfg: RobustConfig,
-    pen: Penalty,
-    lam: float,
-    opt: OptimizerConfig,
-) -> FitResult:
-    """Minimize robust loss + lam * penalty for one regression: the one-column
-    case of :func:`proximal_gradient_fit_columns`, started from the seed ``opt.seed``."""
-    return proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
 
 
 def proximal_gradient_fit_columns(

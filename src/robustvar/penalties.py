@@ -8,10 +8,7 @@ import numpy as np
 
 __all__ = [
     "Penalty",
-    "penalty_value",
     "dual_value",
-    "soft_threshold",
-    "group_soft_threshold",
     "prox",
 ]
 
@@ -55,15 +52,6 @@ class Penalty:
             raise ValueError(f"groups do not partition the {q} coordinates")
 
 
-def penalty_value(pen: Penalty, v: np.ndarray) -> float:
-    """Penalty norm of ``v``: sum |v_j| (l1) or sum of block norms (group)."""
-    v = np.asarray(v, dtype=np.float64)
-    if pen.kind == "l1":
-        return float(np.sum(np.abs(v)))
-    pen.check_coverage(v.shape[0])
-    return float(sum(np.linalg.norm(v[list(g)]) for g in pen.groups))
-
-
 def dual_value(pen: Penalty, v: np.ndarray) -> float:
     """Dual norm of ``v``: max |v_j| (l1) or max block norm (group)."""
     v = np.asarray(v, dtype=np.float64)
@@ -71,32 +59,6 @@ def dual_value(pen: Penalty, v: np.ndarray) -> float:
         return float(np.max(np.abs(v)))
     pen.check_coverage(v.shape[0])
     return float(max(np.linalg.norm(v[list(g)]) for g in pen.groups))
-
-
-def _checked(v: np.ndarray, alpha: float, who: str) -> np.ndarray:
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{who} requires finite input")
-    return v
-
-
-def soft_threshold(v: np.ndarray, alpha: float) -> np.ndarray:
-    """Coordinatewise shrinkage sign(v) * (|v| - alpha)_+.
-
-    Exact minimizer of 0.5*||z - v||^2 + alpha*||z||_1.
-    """
-    return prox(Penalty("l1"), _checked(v, alpha, "soft_threshold"), alpha)
-
-
-def group_soft_threshold(v: np.ndarray, pen: Penalty, alpha: float) -> np.ndarray:
-    """Blockwise shrinkage v_G * (1 - alpha/||v_G||)_+ per column, zeroing small blocks."""
-    if pen.kind != "group":
-        raise ValueError("group_soft_threshold requires a group penalty")
-    v = _checked(v, alpha, "group_soft_threshold")
-    pen.check_coverage(v.shape[0])
-    return prox(pen, v, alpha)
 
 
 def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:

@@ -169,11 +169,17 @@ def indicator_map(partition, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     p = z.shape[0]
     out = np.zeros(partition.n_regions * p)
-    j = partition.region(z)
-    if not 0 <= j < partition.n_regions:
-        raise ValueError(f"partition returned invalid region {j}")
+    j = _region(partition, z)
     out[j * p : (j + 1) * p] = z
     return out
+
+
+def _region(partition, z: np.ndarray) -> int:
+    """The region of ``z``; anything but an integer in [0, n_regions) raises."""
+    j = partition.region(z)
+    if not (isinstance(j, (int, np.integer)) and 0 <= j < partition.n_regions):
+        raise ValueError(f"partition returned invalid region {j}")
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +357,9 @@ class BekkVarDgp:
 class ThresholdVarDgp:
     """Regime-switching VAR: z_t = B_j' z_{t-1} + noise when z_{t-1} is in region j.
 
-    ``partition`` must expose ``n_regions`` and ``region(z) -> int`` and
-    partition the whole state space; built-ins are :class:`SignPartition` and
+    ``partition`` must expose ``n_regions`` and ``region(z) -> int`` in
+    [0, n_regions) and partition the whole state space (an index outside that
+    range raises); built-ins are :class:`SignPartition` and
     :class:`IntervalPartition`.  Stability requires every regime matrix to be
     an operator-norm contraction: max_j ||B_j||_2 < 1 (the piecewise map
     z -> B_j'z then shrinks the state regardless of which region fires).
@@ -448,6 +455,7 @@ def gen_er_transition(
     radius vanishes (e.g. an all-zero or nilpotent pattern) are regenerated
     from the next substream.
     """
+    _check_int("p", p, 1)
     _check_er_settings(density, rho_target)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(derive_seed(seed, attempt))
@@ -606,7 +614,7 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         state = np.zeros(p)
 
         def step(t, z):
-            return bts[spec.partition.region(z)] @ z + eta[t]
+            return bts[_region(spec.partition, z)] @ z + eta[t]
 
     elif isinstance(spec, RcVarDgp):
         p = spec.b.shape[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import read_table, write_table
-from .losses import Regression, RobustConfig
+from .losses import RobustConfig
 from .optimizer import FitResult, OptimizerConfig, proximal_gradient_fit_columns
 from .penalties import Penalty
 
@@ -25,8 +25,6 @@ __all__ = [
     "FitConfig",
     "companion_matrix",
     "spectral_radius",
-    "rescale_to_radius",
-    "decompose_regressions",
     "theory_lambda",
     "fit_var",
     "estimation_error",
@@ -127,26 +125,13 @@ def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-def rescale_to_radius(a: np.ndarray, rho_target: float) -> np.ndarray:
-    """Scale a matrix so its spectral radius equals ``rho_target``.
-
-    Scalar multiplication, so the zero pattern is preserved exactly.  A
-    nilpotent (zero-radius) matrix cannot be rescaled and raises.
-    """
-    if not rho_target > 0:
-        raise ValueError(f"rho_target must be positive, got {rho_target}")
-    a = np.asarray(a, dtype=np.float64)
-    r = spectral_radius(a)
-    if r == 0.0:
-        raise ValueError("matrix has zero spectral radius; rescaling is undefined")
-    return a * (rho_target / r)
-
-
 def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared design (n, p*d) and responses (n, p) of a lag-d series."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be a 2-d array (rows = time points)")
+    if data.shape[1] < 1:
+        raise ValueError("data has no series column")
     if not np.all(np.isfinite(data)):
         raise ValueError("regression data must be finite")
     if d < 1:
@@ -156,18 +141,6 @@ def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need at least {d + 1} rows for lag {d}, got {n_rows}")
     x = np.hstack([data[d - lag : n_rows - lag] for lag in range(1, d + 1)])
     return x, data[d:]
-
-
-def decompose_regressions(data: np.ndarray, d: int) -> list[Regression]:
-    """Split an (N, p) series into p column regressions sharing one design matrix.
-
-    Row ``i`` of the shared design is the concatenation
-    (Z_{t-1}, ..., Z_{t-d}) for t = d + i, and the j-th response vector is
-    (Z_{d,j}, ..., Z_{T,j}); there are n = N - d usable rows.  All returned
-    regressions reference the same design array.
-    """
-    x, y = _lagged_design(data, d)
-    return [Regression(y=y[:, j], x=x) for j in range(y.shape[1])]
 
 
 def theory_lambda(p: int, d: int, n: int, cfg: RobustConfig, c: float) -> float:

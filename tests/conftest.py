@@ -3,6 +3,15 @@
 import numpy as np
 
 
+def penalty_norm(pen, v):
+    """Penalty norm of ``v``: sum |v_j| (l1) or the sum of block norms (group),
+    for the penalized objective values the solver tests compare."""
+    v = np.asarray(v, dtype=np.float64)
+    if pen.kind == "l1":
+        return float(np.sum(np.abs(v)))
+    return float(sum(np.linalg.norm(v[list(g)]) for g in pen.groups))
+
+
 def cd_robust_lasso(y, x, lam, tau, b, sweeps=2000, tol=1e-10):
     """Cyclic coordinate descent reference solver for the penalized robust
     objective, independent of the proximal gradient code path.

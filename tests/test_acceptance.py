@@ -21,6 +21,8 @@ from robustvar.experiments import (
     run_deviation_experiment,
     run_experiment,
 )
+from robustvar.optimizer import proximal_gradient_fit_columns
+from robustvar.penalties import prox
 from robustvar.simulate import (
     ArchVarDgp,
     BekkVarDgp,
@@ -38,7 +40,7 @@ from robustvar.simulate import (
     simulate,
 )
 
-from conftest import cd_robust_lasso
+from conftest import cd_robust_lasso, penalty_norm
 
 
 def report(num: int, text: str) -> None:
@@ -110,7 +112,7 @@ def test_02_prox_matches_golden_section():
     for _ in range(500):
         v = float(rng.uniform(-4, 4))
         alpha = float(rng.uniform(0, 3))
-        got = rv.soft_threshold(np.array([v]), alpha)[0]
+        got = prox(rv.Penalty("l1"), np.array([[v]]), alpha)[0, 0]
         want = golden_min_ld(
             lambda z: 0.5 * (z - v) ** 2 + alpha * abs(z), -abs(v) - 1, abs(v) + 1
         )
@@ -124,7 +126,7 @@ def test_02_prox_matches_golden_section():
             lambda z: 0.5 * (z - nrm) ** 2 + alpha * abs(z), -nrm - 1, nrm + 1
         )
         want = (v / nrm) * t_star
-        got = rv.group_soft_threshold(v, pen, alpha)
+        got = prox(pen, v[:, None], alpha)[:, 0]
         assert np.max(np.abs(got - want)) <= 1e-8
     elapsed = time.time() - t0
     assert elapsed < 5.0
@@ -138,13 +140,14 @@ def test_03_ols_limit():
     x = rng.standard_normal((n, q))
     y = x @ rng.standard_normal(q) + rng.standard_normal(n)
     reg = rv.Regression(y, x)
-    res = rv.proximal_gradient_fit(
-        reg,
+    res = proximal_gradient_fit_columns(
+        reg.x,
+        reg.y[:, None],
         rv.RobustConfig(tau=1e8, b=1e8),
         rv.Penalty("l1"),
         0.0,
         rv.OptimizerConfig(step=0.9, tol=1e-7, max_iter=20000, seed=0),
-    )
+    )[0]
     ols = np.linalg.solve(x.T @ x, x.T @ y)
     err = float(np.max(np.abs(res.beta_hat - ols)))
     assert err <= 1e-4
@@ -165,12 +168,13 @@ def test_04_small_instance_optimality():
         y = x @ rng.standard_normal(q) + rng.standard_normal(n)
         reg = rv.Regression(y, x)
         cfg = rv.RobustConfig(tau=tau, b=b)
-        res = rv.proximal_gradient_fit(
-            reg, cfg, pen, lam, rv.OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k)
-        )
+        res = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], cfg, pen, lam,
+            rv.OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k),
+        )[0]
         ref = cd_robust_lasso(y, x, lam, tau, b)
-        f_pg = rv.robust_objective(reg, res.beta_hat, cfg) + lam * rv.penalty_value(pen, res.beta_hat)
-        f_cd = rv.robust_objective(reg, ref, cfg) + lam * rv.penalty_value(pen, ref)
+        f_pg = rv.robust_objective(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
+        f_cd = rv.robust_objective(reg, ref, cfg) + lam * penalty_norm(pen, ref)
         worst = max(worst, f_pg - f_cd)
         assert f_pg <= f_cd + 1e-6
     elapsed = time.time() - t0

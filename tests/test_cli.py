@@ -77,6 +77,14 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_dimension_below_one_names_p(self, tmp_path, capsys, p):
+        out = tmp_path / "s.csv"
+        assert run(["simulate", "--p", p, "--n", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: p must be at least 1, got {p}\n"
+        assert not out.exists()
+
+
 class TestFitCommand:
     def test_benchmark_flags(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -143,6 +151,14 @@ class TestFitCommand:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: ValueError: lam must be 0 in theory mode, got 0.3\n"
+        assert not out.exists()
+
+    def test_series_without_data_column_names_it(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("t\n0\n1\n2\n3\n")
+        out = tmp_path / "b.csv"
+        assert run(["fit", "--input", str(data), "--tau", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: ValueError: data has no series column\n"
         assert not out.exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):

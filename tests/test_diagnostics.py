@@ -18,7 +18,6 @@ from robustvar import (
     VarTDgp,
     deviation_check,
     gen_er_transition,
-    huber_value,
     indicator_map,
     mallows_weights,
     re_check,
@@ -30,7 +29,7 @@ from robustvar import diagnostics
 from robustvar._seeds import derive_seed
 from robustvar.diagnostics import _re_probe, diagnostics_replication, write_reports_csv
 from robustvar.experiments import run_deviation_experiment
-from robustvar.losses import robust_objective_columns
+from robustvar.losses import _huber, robust_objective_columns
 
 
 def naive_linf_gradient(y, x, beta, tau, b):
@@ -46,7 +45,7 @@ def naive_linf_gradient(y, x, beta, tau, b):
 
 def one_point_objective(reg, beta, cfg, w):
     """The weighted robust loss at one beta, written out with one matrix-vector product."""
-    terms = w * huber_value(w * (reg.y - reg.x @ beta), cfg.tau)
+    terms = w * _huber(w * (reg.y - reg.x @ beta), cfg.tau)
     return math.fsum(terms.tolist()) / reg.n
 
 

@@ -8,14 +8,11 @@ import pytest
 from robustvar import (
     Regression,
     RobustConfig,
-    huber_derivative,
-    huber_value,
-    mallows_weight,
     mallows_weights,
     robust_gradient,
     robust_objective,
 )
-from robustvar.losses import robust_gradient_columns
+from robustvar.losses import _huber, robust_gradient_columns
 
 
 def naive_objective(y, x, beta, tau, b, shrink=None, form="linear"):
@@ -59,6 +56,14 @@ def out_of_place_gradient(x, y, beta, w, tau):
     return -(x.T @ (lp * (wc * wc))) / x.shape[0]
 
 
+def huber_derivative(u, tau):
+    """Huber'(u) for each entry of ``u``, read off the gradient kernel: one
+    unit design row with weight 1 and one response column per entry."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    g = robust_gradient_columns(np.ones((1, 1)), u[None, :], np.zeros((1, u.size)), np.ones(1), tau)
+    return -g[0]
+
+
 def fd_gradient(reg, beta, cfg, h=1e-6):
     g = np.zeros_like(beta)
     for k in range(len(beta)):
@@ -71,27 +76,27 @@ def fd_gradient(reg, beta, cfg, h=1e-6):
 
 class TestHuber:
     def test_origin(self):
-        assert huber_value(0, 1) == 0.0
+        assert _huber(0, 1) == 0.0
 
     def test_quadratic_branch(self):
-        assert huber_value(1, 2) == pytest.approx(0.5)
+        assert _huber(1, 2) == pytest.approx(0.5)
 
     def test_linear_branch(self):
-        assert huber_value(3, 1) == pytest.approx(2.5)
+        assert _huber(3, 1) == pytest.approx(2.5)
 
     def test_even_and_odd(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             u = float(rng.normal() * 3)
             tau = float(rng.uniform(0.1, 5))
-            assert huber_value(u, tau) == huber_value(-u, tau)
+            assert _huber(u, tau) == _huber(-u, tau)
             assert huber_derivative(-u, tau) == -huber_derivative(u, tau)
 
     def test_dominated_by_least_squares(self):
         rng = np.random.default_rng(1)
         u = rng.normal(size=1000) * 5
         tau = 0.7
-        assert np.all(huber_value(u, tau) <= 0.5 * u * u + 1e-15)
+        assert np.all(_huber(u, tau) <= 0.5 * u * u + 1e-15)
 
     def test_derivative_values(self):
         assert huber_derivative(0, 1) == 0.0
@@ -105,38 +110,38 @@ class TestHuber:
     def test_continuity_at_cutoff(self):
         tau = 1.3
         eps = 1e-9
-        assert huber_value(tau + eps, tau) == pytest.approx(huber_value(tau - eps, tau), abs=1e-8)
+        assert _huber(tau + eps, tau) == pytest.approx(_huber(tau - eps, tau), abs=1e-8)
 
     def test_nonfinite_rejected(self):
+        # an infinite residual makes the loss infinite, which the objective rejects
+        reg = Regression(y=np.array([1.0]), x=np.array([[1.0]]))
         with pytest.raises(ValueError):
-            huber_value(np.inf, 1)
-        with pytest.raises(ValueError):
-            huber_derivative(np.nan, 1)
+            robust_objective(reg, np.array([np.inf]), RobustConfig(tau=1, b=1))
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
-            huber_value(1.0, 0.0)
+            RobustConfig(tau=0.0, b=1.0)
 
 
 class TestMallowsWeight:
     def test_halved_at_twice_radius(self):
         cfg = RobustConfig(tau=1, b=3)
         x = np.array([6.0, 0.0, 0.0])
-        assert mallows_weight(x, cfg) == pytest.approx(0.5)
+        assert mallows_weights(x[None, :], cfg)[0] == pytest.approx(0.5)
 
     def test_zero_vector_convention(self):
         cfg = RobustConfig(tau=1, b=3)
-        assert mallows_weight(np.zeros(4), cfg) == 1.0
+        assert mallows_weights(np.zeros(4)[None, :], cfg)[0] == 1.0
 
     def test_saturates_at_one(self):
         cfg = RobustConfig(tau=1, b=3)
         x = np.array([2.0, 0.0])
-        assert mallows_weight(x, cfg) == 1.0
+        assert mallows_weights(x[None, :], cfg)[0] == 1.0
 
     def test_quadratic_form(self):
         cfg = RobustConfig(tau=1, b=3, weight_form="quadratic")
         x = np.array([6.0, 0.0])
-        assert mallows_weight(x, cfg) == pytest.approx(0.25)
+        assert mallows_weights(x[None, :], cfg)[0] == pytest.approx(0.25)
 
     def test_bounded_influence(self):
         rng = np.random.default_rng(2)
@@ -144,7 +149,7 @@ class TestMallowsWeight:
             cfg = RobustConfig(tau=1, b=2.5, weight_form=form)
             for _ in range(200):
                 x = rng.standard_normal(5) * rng.uniform(0.1, 50)
-                w = mallows_weight(x, cfg)
+                w = mallows_weights(x[None, :], cfg)[0]
                 assert 0 < w <= 1
                 assert w * np.linalg.norm(x) <= cfg.b_max + 1e-12
 
@@ -153,21 +158,21 @@ class TestMallowsWeight:
         cfg = RobustConfig(tau=1, b=3, shrinkage=shrink)
         assert cfg.b_max == pytest.approx(3.0)
         x = np.array([6.0, 0.0])  # ||B x|| = 12
-        assert mallows_weight(x, cfg) == pytest.approx(0.25)
-        w = mallows_weight(x, cfg)
+        assert mallows_weights(x[None, :], cfg)[0] == pytest.approx(0.25)
+        w = mallows_weights(x[None, :], cfg)[0]
         assert w * np.linalg.norm(x) <= cfg.b_max + 1e-12
 
     def test_dimension_mismatch(self):
         cfg = RobustConfig(tau=1, b=3, shrinkage=np.eye(2))
         with pytest.raises(ValueError):
-            mallows_weight(np.ones(3), cfg)
+            mallows_weights(np.ones(3)[None, :], cfg)
 
     def test_nonfinite_row_rejected(self):
         cfg = RobustConfig(tau=1, b=3)
         with pytest.raises(ValueError):
             mallows_weights(np.array([[np.nan, 1.0], [6.0, 0.0]]), cfg)
         with pytest.raises(ValueError):
-            mallows_weight(np.array([np.inf, 1.0]), cfg)
+            mallows_weights(np.array([np.inf, 1.0])[None, :], cfg)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -176,7 +181,7 @@ class TestMallowsWeight:
             cfg = RobustConfig(tau=1, b=2, weight_form=form)
             ws = mallows_weights(x, cfg)
             for i in range(50):
-                assert ws[i] == pytest.approx(mallows_weight(x[i], cfg), rel=1e-14)
+                assert ws[i] == pytest.approx(mallows_weights(x[i][None, :], cfg)[0], rel=1e-14)
 
     def test_non_pd_shrinkage_rejected(self):
         with pytest.raises(ValueError):

@@ -10,32 +10,29 @@ from robustvar import (
     Regression,
     RobustConfig,
     gradient_lipschitz_bound,
-    init_beta,
-    proximal_gradient_fit,
     robust_gradient,
     robust_objective,
-    soft_threshold,
 )
 from robustvar.losses import mallows_weights
 from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
-from robustvar.penalties import penalty_value
+from robustvar.penalties import prox
 
-from conftest import cd_robust_lasso
+from conftest import cd_robust_lasso, penalty_norm
 
 
 class TestInitBeta:
     def test_deterministic(self):
-        np.testing.assert_array_equal(init_beta(3, 7), init_beta(3, 7))
+        np.testing.assert_array_equal(init_columns(3, 1, 7)[:, 0], init_columns(3, 1, 7)[:, 0])
 
     def test_unit_norm(self):
         for q, seed in [(1, 0), (5, 1), (50, 2)]:
-            assert np.linalg.norm(init_beta(q, seed)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(init_columns(q, 1, seed)[:, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_dimensional(self):
-        assert abs(init_beta(1, 123)[0]) == pytest.approx(1.0)
+        assert abs(init_columns(1, 1, 123)[0, 0]) == pytest.approx(1.0)
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(init_beta(4, 0), init_beta(4, 1))
+        assert not np.array_equal(init_columns(4, 1, 0)[:, 0], init_columns(4, 1, 1)[:, 0])
 
     def test_column_depends_only_on_seed_q_and_index(self):
         for q in (1, 3, 50):
@@ -44,7 +41,7 @@ class TestInitBeta:
             np.testing.assert_allclose(np.linalg.norm(wide, axis=0), 1.0, rtol=0, atol=1e-12)
             for k in (1, 2, 7, 19):
                 np.testing.assert_array_equal(init_columns(q, k, 9), wide[:, :k])
-            np.testing.assert_array_equal(init_beta(q, 9), wide[:, 0])
+            np.testing.assert_array_equal(init_columns(q, 1, 9)[:, 0], wide[:, 0])
         assert not np.array_equal(init_columns(4, 2, 0), init_columns(4, 2, 1))
 
 
@@ -58,7 +55,7 @@ class TestProximalGradientFit:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1e8, b=1e8)
         opt = OptimizerConfig(step=0.9, tol=1e-7, max_iter=20000, seed=1)
-        res = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.0, opt)
+        res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.0, opt)[0]
         ols = np.linalg.solve(x.T @ x, x.T @ y)
         assert res.converged
         assert np.max(np.abs(res.beta_hat - ols)) <= 1e-4
@@ -68,7 +65,9 @@ class TestProximalGradientFit:
         x = rng.standard_normal((30, 4))
         reg = Regression(np.zeros(30), x)
         cfg = RobustConfig(tau=1, b=3)
-        res = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.5, OptimizerConfig(seed=2))
+        res = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.5, OptimizerConfig(seed=2)
+        )[0]
         np.testing.assert_array_equal(res.beta_hat, np.zeros(4))
         assert res.converged
 
@@ -83,10 +82,10 @@ class TestProximalGradientFit:
             cfg = RobustConfig(tau=1.0, b=3.0)
             lam = 0.1
             opt = OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k)
-            res = proximal_gradient_fit(reg, cfg, pen, lam, opt)
+            res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
             ref = cd_robust_lasso(y, x, lam, 1.0, 3.0)
-            f_pg = robust_objective(reg, res.beta_hat, cfg) + lam * penalty_value(pen, res.beta_hat)
-            f_cd = robust_objective(reg, ref, cfg) + lam * penalty_value(pen, ref)
+            f_pg = robust_objective(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
+            f_cd = robust_objective(reg, ref, cfg) + lam * penalty_norm(pen, ref)
             assert f_pg <= f_cd + 1e-6
 
     def test_group_penalty_runs(self, monkeypatch):
@@ -100,7 +99,9 @@ class TestProximalGradientFit:
         y = x @ np.array([1.0, 0.5, 0.0, 0.0]) + 0.1 * rng.standard_normal(40)
         reg = Regression(y, x)
         pen = Penalty("group", groups=((0, 1), (2, 3)))
-        res = proximal_gradient_fit(reg, RobustConfig(tau=2, b=5), pen, 0.2, OptimizerConfig(seed=4))
+        res = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], RobustConfig(tau=2, b=5), pen, 0.2, OptimizerConfig(seed=4)
+        )[0]
         assert res.converged and res.iterations > 1
         assert checked == [4]  # the groups are checked once per fit, not per iteration
         # weak-signal block shrunk harder than the active block
@@ -115,13 +116,15 @@ class TestProximalGradientFit:
             reg = Regression(y, x)
             cfg = RobustConfig(tau=1, b=3)
             pen, lam = Penalty("l1"), 0.05
-            res = proximal_gradient_fit(reg, cfg, pen, lam, OptimizerConfig(tol=1e-8, seed=k))
+            res = proximal_gradient_fit_columns(
+                reg.x, reg.y[:, None], cfg, pen, lam, OptimizerConfig(tol=1e-8, seed=k)
+            )[0]
             # rebuild every iterate from the public pieces of one step
-            beta, objective = init_beta(q, k), []
+            beta, objective = init_columns(q, 1, k)[:, 0], []
             for _ in range(res.iterations):
                 g = robust_gradient(reg, beta, cfg)
-                beta = soft_threshold(beta - res.step * g, lam * res.step)
-                objective.append(robust_objective(reg, beta, cfg) + lam * penalty_value(pen, beta))
+                beta = prox(pen, (beta - res.step * g)[:, None], lam * res.step)[:, 0]
+                objective.append(robust_objective(reg, beta, cfg) + lam * penalty_norm(pen, beta))
             assert np.all(np.diff(objective) <= 1e-10)
             np.testing.assert_array_equal(beta, res.beta_hat)
 
@@ -131,10 +134,12 @@ class TestProximalGradientFit:
         reg = Regression(x @ rng.standard_normal(5) + rng.standard_t(3, 60), x)
         cfg = RobustConfig(tau=1, b=3)
         step = 1.0 / gradient_lipschitz_bound(reg, cfg)
-        default = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.05, OptimizerConfig(seed=3))
-        explicit = proximal_gradient_fit(
-            reg, cfg, Penalty("l1"), 0.05, OptimizerConfig(step=step, seed=3)
-        )
+        default = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(seed=3)
+        )[0]
+        explicit = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(step=step, seed=3)
+        )[0]
         assert default.step == explicit.step == step
         assert default.iterations == explicit.iterations
         assert default.final_change == explicit.final_change
@@ -142,9 +147,10 @@ class TestProximalGradientFit:
 
     def test_fixed_step_is_reported(self):
         reg = Regression(np.ones(4), np.eye(4)[:, :2])
-        res = proximal_gradient_fit(
-            reg, RobustConfig(tau=1, b=3), Penalty("l1"), 0.1, OptimizerConfig(step=0.9)
-        )
+        res = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], RobustConfig(tau=1, b=3), Penalty("l1"), 0.1,
+            OptimizerConfig(step=0.9),
+        )[0]
         assert res.step == 0.9
 
     def test_nonpositive_step_rejected(self):
@@ -170,12 +176,12 @@ class TestProximalGradientFit:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=2, b=4)
         opt = OptimizerConfig(step=0.5, tol=1e-13, max_iter=100000, seed=7)
-        res = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.05, opt)
+        res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, opt)[0]
         assert res.converged
         # restart from the solution: one further update moves it negligibly
         opt2 = OptimizerConfig(step=0.5, tol=1e-30, max_iter=1, seed=7)
         g = robust_gradient(reg, res.beta_hat, cfg)
-        moved = soft_threshold(res.beta_hat - 0.5 * g, 0.05 * 0.5)
+        moved = prox(Penalty("l1"), (res.beta_hat - 0.5 * g)[:, None], 0.05 * 0.5)[:, 0]
         assert np.linalg.norm(moved - res.beta_hat) <= 1e-12
 
     def test_bitwise_determinism(self):
@@ -185,8 +191,8 @@ class TestProximalGradientFit:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1, b=3)
         opt = OptimizerConfig(seed=9)
-        r1 = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.1, opt)
-        r2 = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.1, opt)
+        r1 = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.1, opt)[0]
+        r2 = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.1, opt)[0]
         assert r1.iterations == r2.iterations
         assert r1.final_change == r2.final_change
         np.testing.assert_array_equal(r1.beta_hat, r2.beta_hat)
@@ -198,7 +204,7 @@ class TestProximalGradientFit:
         cfg = RobustConfig(tau=1e300, b=1e300)
         opt = OptimizerConfig(step=1.0, max_iter=100, seed=0)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
-            proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.0, opt)
+            proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.0, opt)
         assert exc.value.iteration > 0
 
     def test_diverging_column_named_at_its_iteration(self):
@@ -238,19 +244,25 @@ class TestProximalGradientFit:
         x = rng.standard_normal((50, 3))
         y = x @ np.ones(3) + rng.standard_normal(50)
         reg = Regression(y, x)
-        res = proximal_gradient_fit(
-            reg, RobustConfig(tau=1e8, b=1e8), Penalty("l1"), 0.0,
+        res = proximal_gradient_fit_columns(
+            reg.x, reg.y[:, None], RobustConfig(tau=1e8, b=1e8), Penalty("l1"), 0.0,
             OptimizerConfig(step=0.9, tol=1e-16, max_iter=5, seed=0),
-        )
+        )[0]
         assert not res.converged
         assert res.iterations == 5
 
     def test_negative_lambda_rejected(self):
         reg = Regression(np.ones(3), np.ones((3, 1)))
         with pytest.raises(ValueError):
-            proximal_gradient_fit(reg, RobustConfig(tau=1, b=1), Penalty("l1"), -1.0, OptimizerConfig())
+            proximal_gradient_fit_columns(
+                reg.x, reg.y[:, None], RobustConfig(tau=1, b=1), Penalty("l1"), -1.0,
+                OptimizerConfig(),
+            )
 
     def test_nan_lambda_rejected(self):
         reg = Regression(np.ones(3), np.ones((3, 1)))
         with pytest.raises(ValueError, match="lambda must be nonnegative, got nan"):
-            proximal_gradient_fit(reg, RobustConfig(tau=1, b=1), Penalty("l1"), np.nan, OptimizerConfig())
+            proximal_gradient_fit_columns(
+                reg.x, reg.y[:, None], RobustConfig(tau=1, b=1), Penalty("l1"), np.nan,
+                OptimizerConfig(),
+            )

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from robustvar import (
-    Penalty,
-    dual_value,
-    group_soft_threshold,
-    penalty_value,
-    soft_threshold,
-)
+from robustvar import Penalty, dual_value
 from robustvar.penalties import prox
+
+from conftest import penalty_norm
+
+L1 = Penalty("l1")
 
 
 def golden_min(fun, lo, hi, iters=120):
@@ -38,29 +36,31 @@ def golden_min(fun, lo, hi, iters=120):
 
 
 class TestPenaltyValue:
+    """The test-side penalty norm behind the solver tests' objective values."""
+
     def test_l1(self):
-        assert penalty_value(Penalty("l1"), np.array([1.0, -2.0, 0.0])) == 3.0
+        assert penalty_norm(Penalty("l1"), np.array([1.0, -2.0, 0.0])) == 3.0
 
     def test_group(self):
         pen = Penalty("group", groups=((0, 1), (2, 3)))
-        assert penalty_value(pen, np.array([3.0, 4.0, 0.0, 0.0])) == pytest.approx(5.0)
+        assert penalty_norm(pen, np.array([3.0, 4.0, 0.0, 0.0])) == pytest.approx(5.0)
 
     def test_zero_vector(self):
-        assert penalty_value(Penalty("l1"), np.zeros(5)) == 0.0
+        assert penalty_norm(Penalty("l1"), np.zeros(5)) == 0.0
         pen = Penalty("group", groups=((0,), (1, 2)))
-        assert penalty_value(pen, np.zeros(3)) == 0.0
+        assert penalty_norm(pen, np.zeros(3)) == 0.0
 
     def test_zero_iff_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.standard_normal(4)
             if np.any(v != 0):
-                assert penalty_value(Penalty("l1"), v) > 0
+                assert penalty_norm(Penalty("l1"), v) > 0
 
     def test_coverage_violation(self):
         pen = Penalty("group", groups=((0, 1),))
         with pytest.raises(ValueError):
-            penalty_value(pen, np.zeros(3))
+            dual_value(pen, np.zeros(3))
 
     def test_bad_groups(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestDualValue:
         for pen in pens:
             for _ in range(100):
                 v, w = rng.standard_normal(6), rng.standard_normal(6)
-                assert penalty_value(pen, v) * dual_value(pen, w) >= v @ w - 1e-12
+                assert penalty_norm(pen, v) * dual_value(pen, w) >= v @ w - 1e-12
 
     def test_dual_is_sup_over_unit_ball(self):
         # uniform samples on the unit-penalty sphere: Dirichlet magnitudes
@@ -118,19 +118,19 @@ class TestDualValue:
 
 class TestSoftThreshold:
     def test_examples(self):
-        np.testing.assert_allclose(soft_threshold(np.array([1.2]), 0.5), [0.7])
-        np.testing.assert_allclose(soft_threshold(np.array([-0.3]), 0.5), [0.0])
+        np.testing.assert_allclose(prox(L1, np.array([[1.2]]), 0.5)[:, 0], [0.7])
+        np.testing.assert_allclose(prox(L1, np.array([[-0.3]]), 0.5)[:, 0], [0.0])
 
     def test_identity_at_zero(self):
         v = np.array([1.0, -2.0, 0.3])
-        np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
+        np.testing.assert_array_equal(prox(L1, v[:, None], 0.0)[:, 0], v)
 
     def test_prox_optimality_golden_section(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             v = float(rng.uniform(-4, 4))
             alpha = float(rng.uniform(0, 3))
-            got = soft_threshold(np.array([v]), alpha)[0]
+            got = prox(L1, np.array([[v]]), alpha)[0, 0]
             want = golden_min(lambda z: 0.5 * (z - v) ** 2 + alpha * abs(z), -abs(v) - 1, abs(v) + 1)
             assert abs(got - want) <= 1e-8
 
@@ -139,12 +139,10 @@ class TestSoftThreshold:
         for _ in range(100):
             v1, v2 = rng.standard_normal(6), rng.standard_normal(6)
             alpha = float(rng.uniform(0, 2))
-            d_out = np.linalg.norm(soft_threshold(v1, alpha) - soft_threshold(v2, alpha))
+            d_out = np.linalg.norm(
+                prox(L1, v1[:, None], alpha)[:, 0] - prox(L1, v2[:, None], alpha)[:, 0]
+            )
             assert d_out <= np.linalg.norm(v1 - v2) + 1e-12
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.array([1.0]), -0.1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_prox_equals_formula_bit_for_bit(self, alpha):
@@ -163,16 +161,16 @@ class TestGroupSoftThreshold:
     PEN = Penalty("group", groups=((0, 1),))
 
     def test_shrinks_block(self):
-        out = group_soft_threshold(np.array([3.0, 4.0]), self.PEN, 1.0)
+        out = prox(self.PEN, np.array([[3.0], [4.0]]), 1.0)[:, 0]
         np.testing.assert_allclose(out, [2.4, 3.2])
 
     def test_zeroes_small_block(self):
-        out = group_soft_threshold(np.array([0.3, 0.4]), self.PEN, 1.0)
+        out = prox(self.PEN, np.array([[0.3], [0.4]]), 1.0)[:, 0]
         np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_identity_at_zero(self):
         v = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(group_soft_threshold(v, self.PEN, 0.0), v)
+        np.testing.assert_array_equal(prox(self.PEN, v[:, None], 0.0)[:, 0], v)
 
     def test_block_prox_optimality_golden_section(self):
         # the block prox acts along the block direction, so the vector problem
@@ -184,7 +182,7 @@ class TestGroupSoftThreshold:
             nrm = np.linalg.norm(v)
             t = golden_min(lambda z: 0.5 * (z - nrm) ** 2 + alpha * abs(z), -nrm - 1, nrm + 1)
             want = (v / nrm) * t if nrm > 0 else v * 0
-            got = group_soft_threshold(v, self.PEN, alpha)
+            got = prox(self.PEN, v[:, None], alpha)[:, 0]
             np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_nonexpansive(self):
@@ -194,7 +192,7 @@ class TestGroupSoftThreshold:
             v1, v2 = rng.standard_normal(5), rng.standard_normal(5)
             alpha = float(rng.uniform(0, 2))
             d_out = np.linalg.norm(
-                group_soft_threshold(v1, pen, alpha) - group_soft_threshold(v2, pen, alpha)
+                prox(pen, v1[:, None], alpha)[:, 0] - prox(pen, v2[:, None], alpha)[:, 0]
             )
             assert d_out <= np.linalg.norm(v1 - v2) + 1e-12
 
@@ -202,10 +200,6 @@ class TestGroupSoftThreshold:
         rng = np.random.default_rng(7)
         pen = Penalty("group", groups=((0, 1), (2, 3, 4)))
         v = rng.standard_normal((5, 6))
-        got = group_soft_threshold(v, pen, 0.8)
+        got = prox(pen, v, 0.8)
         for j in range(6):
-            np.testing.assert_allclose(got[:, j], group_soft_threshold(v[:, j], pen, 0.8), rtol=1e-15)
-
-    def test_requires_group_kind(self):
-        with pytest.raises(ValueError):
-            group_soft_threshold(np.ones(2), Penalty("l1"), 0.5)
+            np.testing.assert_allclose(got[:, j], prox(pen, v[:, [j]], 0.8)[:, 0], rtol=1e-15)

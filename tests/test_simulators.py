@@ -97,6 +97,11 @@ class TestGenErTransition:
         with pytest.raises(ValueError):
             gen_er_transition(3, 0.0, 0.5, seed=0)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_dimension_below_one_names_p(self, p):
+        with pytest.raises(ValueError, match=f"^p must be at least 1, got {p}$"):
+            gen_er_transition(p, 0.5, 0.5, seed=0)
+
 
 def stable_var2(seed=0, p=3):
     rng = np.random.default_rng(seed)
@@ -407,6 +412,24 @@ class TestPartitions:
     def test_axis_must_be_a_nonnegative_integer(self, axis):
         with pytest.raises(ValueError, match="axis must be a nonnegative integer"):
             IntervalPartition(axis=axis, breakpoints=(0.0,))
+
+    @pytest.mark.parametrize("region", [-1, 2, 5, 1.0])
+    def test_invalid_region_rejected(self, region):
+        # a custom partition whose region is not an index in [0, n_regions):
+        # the threshold step rejects it as the indicator map does, rather
+        # than picking a regime by negative indexing or failing on the list
+        class BadPartition:
+            n_regions = 2
+
+            def region(self, z):
+                return region
+
+        spec = ThresholdVarDgp(models=(np.eye(2) * 0.5, np.eye(2) * 0.3), partition=BadPartition())
+        message = f"^partition returned invalid region {region}$"
+        with pytest.raises(ValueError, match=message):
+            indicator_map(BadPartition(), np.ones(2))
+        with pytest.raises(ValueError, match=message):
+            simulate(spec, 5, 0, seed=0)
 
     def test_axis_checked_against_dimension(self):
         regimes = (np.eye(2) * 0.5, np.eye(2) * 0.3)

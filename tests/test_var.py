@@ -15,20 +15,18 @@ from robustvar import (
     RobustConfig,
     VarModel,
     companion_matrix,
-    decompose_regressions,
     estimation_error,
     fit_var,
     gradient_lipschitz_bound,
-    proximal_gradient_fit,
     read_var_model_csv,
-    rescale_to_radius,
     robust_gradient,
-    soft_threshold,
     spectral_radius,
     theory_lambda,
     write_var_model_csv,
 )
 from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
+from robustvar.penalties import prox
+from robustvar.var import _lagged_design
 
 
 def charpoly_roots_radius(a):
@@ -94,68 +92,63 @@ class TestRescale:
     def test_hits_target(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((5, 5))
-        out = rescale_to_radius(a, 0.5)
+        out = a * (0.5 / spectral_radius(a))
         assert spectral_radius(out) == pytest.approx(0.5, abs=1e-8)
 
     def test_idempotent_at_target(self):
         a = np.diag([0.5, 0.1])
-        np.testing.assert_allclose(rescale_to_radius(a, 0.5), a, atol=1e-12)
+        np.testing.assert_allclose(a * (0.5 / spectral_radius(a)), a, atol=1e-12)
 
     def test_preserves_zero_pattern(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.3)
         if spectral_radius(a) == 0:
             a[0, 0] = 0.7
-        out = rescale_to_radius(a, 0.9)
+        out = a * (0.9 / spectral_radius(a))
         np.testing.assert_array_equal(out != 0, a != 0)
-
-    def test_nilpotent_rejected(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            rescale_to_radius(a, 0.5)
 
 
 class TestDecompose:
     def test_scalar_shift(self):
         data = np.array([[1.0], [2.0], [3.0]])
-        regs = decompose_regressions(data, 1)
-        assert len(regs) == 1
-        np.testing.assert_array_equal(regs[0].x, [[1.0], [2.0]])
-        np.testing.assert_array_equal(regs[0].y, [2.0, 3.0])
+        x, y = _lagged_design(data, 1)
+        assert y.shape[1] == 1
+        np.testing.assert_array_equal(x, [[1.0], [2.0]])
+        np.testing.assert_array_equal(y[:, 0], [2.0, 3.0])
 
     def test_shapes_two_lags(self):
         data = np.arange(10.0).reshape(5, 2)
-        regs = decompose_regressions(data, 2)
-        assert len(regs) == 2
-        assert regs[0].x.shape == (3, 4)
+        x, y = _lagged_design(data, 2)
+        assert y.shape[1] == 2
+        assert x.shape == (3, 4)
 
     def test_lag_ordering(self):
         data = np.arange(8.0).reshape(4, 2)
-        regs = decompose_regressions(data, 2)
+        x, _ = _lagged_design(data, 2)
         # row for t=2 is (Z_1, Z_0)
-        np.testing.assert_array_equal(regs[0].x[0], [2.0, 3.0, 0.0, 1.0])
-
-    def test_design_shared_across_columns(self):
-        rng = np.random.default_rng(4)
-        regs = decompose_regressions(rng.standard_normal((12, 3)), 2)
-        assert regs[0].x is regs[1].x
-        assert regs[1].x is regs[2].x
+        np.testing.assert_array_equal(x[0], [2.0, 3.0, 0.0, 1.0])
 
     def test_noiseless_reconstruction(self):
         rng = np.random.default_rng(5)
         p = 3
-        b = rescale_to_radius(rng.standard_normal((p, p)), 0.8)
+        a = rng.standard_normal((p, p))
+        b = a * (0.8 / spectral_radius(a))
         data = np.empty((20, p))
         data[0] = rng.standard_normal(p)
         for t in range(1, 20):
             data[t] = b.T @ data[t - 1]
-        regs = decompose_regressions(data, 1)
-        for j, reg in enumerate(regs):
-            np.testing.assert_allclose(reg.y, reg.x @ b[:, j], rtol=1e-12)
+        x, y = _lagged_design(data, 1)
+        for j in range(p):
+            np.testing.assert_allclose(y[:, j], x @ b[:, j], rtol=1e-12)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            decompose_regressions(np.ones((2, 2)), 2)
+            _lagged_design(np.ones((2, 2)), 2)
+
+    def test_no_series_column_rejected(self):
+        fit = FitConfig(RobustConfig(tau=1.0, b=3.0))
+        with pytest.raises(ValueError, match="^data has no series column$"):
+            fit_var(np.zeros((10, 0)), 1, fit)
 
 
 class TestTheoryLambda:
@@ -186,7 +179,8 @@ class TestFitVar:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(6)
         p = 3
-        b = rescale_to_radius(rng.standard_normal((p, p)), 0.9)
+        a = rng.standard_normal((p, p))
+        b = a * (0.9 / spectral_radius(a))
         data = np.empty((30, p))
         data[0] = rng.standard_normal(p)
         for t in range(1, 30):
@@ -206,8 +200,8 @@ class TestFitVar:
         opt = OptimizerConfig(seed=42)
         fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=opt)
         est, results = fit_var(data, 1, fit)
-        reg = decompose_regressions(data, 1)[0]
-        direct = proximal_gradient_fit(reg, cfg, Penalty("l1"), 0.05, opt)
+        x, y = _lagged_design(data, 1)
+        direct = proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.05, opt)[0]
         np.testing.assert_array_equal(results[0].beta_hat, direct.beta_hat)
         np.testing.assert_array_equal(est.coeffs[0][:, 0], direct.beta_hat)
 
@@ -219,7 +213,8 @@ class TestFitVar:
         # single-regression fit, stopping at its own iteration
         rng = np.random.default_rng(12)
         p = 5
-        b = rescale_to_radius(rng.standard_normal((p, p)), 0.6)
+        a = rng.standard_normal((p, p))
+        b = a * (0.6 / spectral_radius(a))
         data = np.empty((80, p))
         data[0] = 0.0
         for t in range(1, 80):
@@ -230,9 +225,10 @@ class TestFitVar:
         est, results = fit_var(data, 1, fit)
         assert len({r.iterations for r in results}) > 1
         start = init_columns(p, p, 5)
-        for j, reg in enumerate(decompose_regressions(data, 1)):
+        x, y = _lagged_design(data, 1)
+        for j in range(p):
             direct = proximal_gradient_fit_columns(
-                reg.x, reg.y[:, None], cfg, pen, 0.02, opt, start[:, [j]]
+                x, y[:, [j]], cfg, pen, 0.02, opt, start[:, [j]]
             )[0]
             assert results[j].iterations == direct.iterations
             assert results[j].converged == direct.converged
@@ -256,8 +252,10 @@ class TestFitVar:
         # any other start is used as given: one fixed step from zero
         one_step = replace(fit, opt=OptimizerConfig(step=0.1, max_iter=1, seed=5))
         est0, _ = fit_var(data, 1, one_step, np.zeros((p, p)))
-        for j, reg in enumerate(decompose_regressions(data, 1)):
-            expected = soft_threshold(-0.1 * robust_gradient(reg, np.zeros(p), cfg), 0.02 * 0.1)
+        x, y = _lagged_design(data, 1)
+        for j in range(p):
+            g = robust_gradient(Regression(y[:, j], x), np.zeros(p), cfg)
+            expected = prox(Penalty("l1"), -0.1 * g[:, None], 0.02 * 0.1)[:, 0]
             np.testing.assert_allclose(est0.coeffs[0][:, j], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("start", [np.zeros((4, 5)), np.zeros(4), np.full((4, 4), np.nan)],
@@ -288,7 +286,8 @@ class TestFitVar:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         p = 4
-        b = rescale_to_radius(rng.standard_normal((p, p)), 0.5)
+        a = rng.standard_normal((p, p))
+        b = a * (0.5 / spectral_radius(a))
         data = np.empty((400, p))
         data[0] = 0.0
         noise = rng.standard_normal((400, p))
