@@ -8,6 +8,7 @@ resolved parameters, seed, and RNG identifier.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -262,11 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`cli_main` reuses: it is built once per process."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
     """Entry point returning an exit code instead of raising SystemExit."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -181,17 +181,25 @@ def robust_gradient(
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (reg.q,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
+    if not np.all(np.isfinite(beta)):  # the kernel would clip its residual to a finite value
+        raise ValueError("robust_gradient requires a finite beta")
     w = mallows_weights(reg.x, cfg) if weights is None else weights
     return robust_gradient_columns(reg.x, reg.y[:, None], beta[:, None], w, cfg.tau)[:, 0]
 
 
 def robust_gradient_columns(
-    x: np.ndarray, y: np.ndarray, beta: np.ndarray, w: np.ndarray, tau: float
+    x: np.ndarray, y: np.ndarray, beta: np.ndarray | None, w: np.ndarray, tau: float
 ) -> np.ndarray:
     """Gradients (q, k) at ``beta`` (q, k) of the k regressions of ``y`` (n, k) on the
-    shared design ``x`` (n, q) with weights ``w``, computed in place; not validated."""
+    shared design ``x`` (n, q) with weights ``w``, computed in place; not validated.
+    ``beta=None`` stands for zero, where the residual is ``y`` and no ``x @ beta``
+    product is needed."""
     wc = w[:, None]
-    r = x @ beta
-    np.clip(np.multiply(np.subtract(y, r, out=r), wc, out=r), -tau, tau, out=r)
+    if beta is None:
+        r = y.copy()
+    else:
+        r = x @ beta
+        np.subtract(y, r, out=r)
+    np.clip(np.multiply(r, wc, out=r), -tau, tau, out=r)
     g = x.T @ np.multiply(r, wc * wc, out=r)
     return np.divide(np.negative(g, out=g), x.shape[0], out=g)

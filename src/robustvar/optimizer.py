@@ -8,7 +8,7 @@ import numpy as np
 
 from ._checks import _check_int
 from .losses import Regression, RobustConfig, mallows_weights, robust_gradient_columns
-from .penalties import Penalty, prox
+from .penalties import Penalty, dual_value, prox
 
 __all__ = [
     "OptimizerConfig",
@@ -56,13 +56,16 @@ class OptimizerConfig:
 
 @dataclass
 class FitResult:
-    """One column's estimate, its stop state, and the step the solver used."""
+    """One column's estimate, its stop state, the step the solver used, and
+    ``lambda_max``, the dual norm of the loss gradient at zero: the smallest
+    lambda at which zero is the column's exact minimiser."""
 
     beta_hat: np.ndarray
     iterations: int
     final_change: float
     converged: bool
     step: float
+    lambda_max: float
 
 
 def init_columns(q: int, k: int, seed: int) -> np.ndarray:
@@ -104,24 +107,35 @@ def proximal_gradient_fit_columns(
     running columns per iteration.  Column j starts from ``start[:, j]``
     (``start`` is (q, k) and is not modified), by default from
     ``init_columns(q, k, opt.seed)``, and stops on its own once its iterates
-    move by at most ``opt.tol`` or after ``opt.max_iter`` updates."""
+    move by at most ``opt.tol`` or after ``opt.max_iter`` updates.
+
+    A column whose ``lambda_max`` is at most ``lam`` has zero as its exact
+    minimiser (the KKT conditions of a convex loss and a norm penalty), so it
+    is returned as exact zero with 0 iterations and never enters the loop."""
     if not lam >= 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     q, k = x.shape[1], y.shape[1]
     if start is None:
-        beta = init_columns(q, k, opt.seed)
+        start = init_columns(q, k, opt.seed)
     else:
-        beta = np.asarray(start, dtype=np.float64)
-        if beta.shape != (q, k) or not np.all(np.isfinite(beta)):
-            raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {beta.shape}")
-    pen.check_coverage(q)
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (q, k) or not np.all(np.isfinite(start)):
+            raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {start.shape}")
     w = mallows_weights(x, cfg)
     if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1
         lip = _lipschitz_bound(x, w)
         step = 1.0 / lip if lip > 0 else 1.0
-    results: list = [None] * k
-    cols = np.arange(k)  # index of each running column in the input
-    for it in range(1, opt.max_iter + 1):
+    # dual_value also checks that the groups partition the q coordinates
+    lambda_max = dual_value(pen, robust_gradient_columns(x, y, None, w, cfg.tau))
+    results: list = [
+        FitResult(np.zeros(q), 0, 0.0, True, step, float(lmax)) if lmax <= lam else None
+        for lmax in lambda_max
+    ]
+    cols = np.flatnonzero(lambda_max > lam)  # index of each running column in the input
+    beta, y = start[:, cols], y[:, cols]
+    it = 0
+    while cols.size:
+        it += 1
         g = robust_gradient_columns(x, y, beta, w, cfg.tau)
         stepped = np.subtract(beta, np.multiply(g, step, out=g), out=g)
         # unvalidated prox; a column has a non-finite change exactly when it diverged
@@ -133,10 +147,9 @@ def proximal_gradient_fit_columns(
         done = (change <= opt.tol) | (it == opt.max_iter)
         for i in np.flatnonzero(done):
             results[cols[i]] = FitResult(
-                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step
+                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
+                float(lambda_max[cols[i]]),
             )
         if done.any():
             cols, beta, y = cols[~done], beta[:, ~done], y[:, ~done]
-            if cols.size == 0:
-                break
     return results

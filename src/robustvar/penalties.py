@@ -52,13 +52,16 @@ class Penalty:
             raise ValueError(f"groups do not partition the {q} coordinates")
 
 
-def dual_value(pen: Penalty, v: np.ndarray) -> float:
-    """Dual norm of ``v``: max |v_j| (l1) or max block norm (group)."""
+def dual_value(pen: Penalty, v: np.ndarray) -> float | np.ndarray:
+    """Dual norm of ``v``: max |v_j| (l1) or max block norm (group).  A vector
+    (q,) gives a float, a (q, k) matrix the k norms of its columns."""
     v = np.asarray(v, dtype=np.float64)
     if pen.kind == "l1":
-        return float(np.max(np.abs(v)))
-    pen.check_coverage(v.shape[0])
-    return float(max(np.linalg.norm(v[list(g)]) for g in pen.groups))
+        out = np.max(np.abs(v), axis=0)
+    else:
+        pen.check_coverage(v.shape[0])
+        out = np.max([np.linalg.norm(v[list(g)], axis=0) for g in pen.groups], axis=0)
+    return float(out) if v.ndim == 1 else out
 
 
 def prox(pen: Penalty, v: np.ndarray, alpha: float) -> np.ndarray:

@@ -14,7 +14,8 @@ from robustvar import (
     read_series_csv,
     read_var_model_csv,
 )
-from robustvar.cli import cli_main, dgp_from_dict
+from robustvar import cli
+from robustvar.cli import build_parser, cli_main, dgp_from_dict
 from robustvar.simulate import (
     ArchVarDgp,
     BekkVarDgp,
@@ -101,6 +102,16 @@ class TestFitCommand:
         assert wide.shape == (5, 5)
         prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
         assert prov["lambda"] > 0
+
+    def test_lambda_above_every_lambda_max_writes_zero_model(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--p", "5", "--df", "3", "--n", "120",
+                    "--seed", "1", "--out", str(data)]) == 0
+        out = tmp_path / "zero.csv"
+        assert run(["fit", "--input", str(data), "--lag", "1", "--tau", "1", "--b", "3",
+                    "--lambda-mode", "explicit", "--lambda", "1e6", "--out", str(out)]) == 0
+        assert "columns_converged=5/5" in capsys.readouterr().out
+        np.testing.assert_array_equal(read_var_model_csv(out).stacked(), np.zeros((5, 5)))
 
     def test_step_provenance(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -361,6 +372,36 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert run([]) == 2
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the parsers built; the cached one is dropped before and after."""
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_two_calls_build_one_parser(self, tmp_path, built):
+        model = tmp_path / "m.csv"
+        model.write_text("# varmodel p=1 d=1\n0.5\n")
+        assert run(["check-stability", "--model", str(model)]) == 0
+        assert run(["check-stability", "--model", str(model)]) == 0
+        assert built == [1]
+        assert build_parser() is not build_parser()
+
+    def test_good_command_after_a_failed_parse(self, tmp_path, capsys, built):
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--p", "2", "--n", "30", "--seed", "4", "--out", str(data)]) == 0
+        assert run(["fit", "--input", str(data)]) == 2  # --tau is required
+        assert "--tau" in capsys.readouterr().err
+        out = tmp_path / "bhat.csv"
+        assert run(["fit", "--input", str(data), "--tau", "1", "--out", str(out)]) == 0
+        assert "columns_converged=2/2" in capsys.readouterr().out
+        assert read_var_model_csv(out).p == 2
+        assert built == [1]
 
 
 class TestModuleEntryPoint:

@@ -308,3 +308,28 @@ class TestRobustGradient:
         assert got.tobytes() == out_of_place_gradient(x, y, beta, w, tau).tobytes()
         for before, after in zip(kept, (x, y, beta, w)):
             np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_columns_at_zero_need_no_beta(self, k):
+        # beta=None is zero: the residual is y itself, which stays as it was
+        rng = np.random.default_rng(200 + k)
+        x = rng.standard_t(2, (40, 5))
+        w = mallows_weights(x, RobustConfig(tau=0.8, b=2.0))
+        y = rng.standard_t(2, (40, k)) * 3
+        kept = y.copy()
+        got = robust_gradient_columns(x, y, None, w, 0.8)
+        want = out_of_place_gradient(x, y, np.zeros((5, k)), w, 0.8)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(y, kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_beta_rejected(self, bad):
+        # the objective and its gradient reject the same points; the gradient
+        # kernel alone would clip an infinite residual to a finite score
+        reg = Regression(y=np.array([1.0, 2.0]), x=np.array([[1.0, 0.5], [2.0, 1.0]]))
+        cfg = RobustConfig(tau=1, b=3)
+        beta = np.array([0.5, bad])
+        with pytest.raises(ValueError, match="robust_objective requires a finite residual"):
+            robust_objective(reg, beta, cfg)
+        with pytest.raises(ValueError, match="robust_gradient requires a finite beta"):
+            robust_gradient(reg, beta, cfg)

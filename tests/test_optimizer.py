@@ -15,7 +15,7 @@ from robustvar import (
 )
 from robustvar.losses import mallows_weights
 from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
-from robustvar.penalties import prox
+from robustvar.penalties import dual_value, prox
 
 from conftest import cd_robust_lasso, penalty_norm
 
@@ -266,3 +266,98 @@ class TestProximalGradientFit:
                 reg.x, reg.y[:, None], RobustConfig(tau=1, b=1), Penalty("l1"), np.nan,
                 OptimizerConfig(),
             )
+
+
+PENALTIES = pytest.mark.parametrize(
+    "pen", [Penalty("l1"), Penalty("group", groups=((0, 1), (2, 3)))], ids=["l1", "group"]
+)
+
+
+class TestZeroScreen:
+    """A column with lambda_max <= lambda is zero-optimal and never iterates."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((60, 4)) * 1.5
+        y = x @ rng.standard_normal((4, 6)) * 0.3 + rng.standard_t(3, (60, 6))
+        return x, y, RobustConfig(tau=1.0, b=3.0)
+
+    @PENALTIES
+    def test_lambda_max_is_the_dual_norm_at_zero(self, pen):
+        x, y, cfg = self.problem()
+        opt = OptimizerConfig(seed=3)
+        batch = proximal_gradient_fit_columns(x, y, cfg, pen, 0.3, opt)
+        assert {r.iterations == 0 for r in batch} == {True, False}  # screened and not
+        for j in range(y.shape[1]):
+            want = dual_value(pen, robust_gradient(Regression(y[:, j], x), np.zeros(4), cfg))
+            one = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, 0.3, opt)[0]
+            assert one.lambda_max == want
+            # a k-column product rounds differently from a one-column one
+            assert batch[j].lambda_max == pytest.approx(want, rel=1e-14, abs=0)
+
+    @PENALTIES
+    def test_lambda_at_lambda_max_gives_exact_zero(self, pen):
+        x, y, cfg = self.problem()
+        opt = OptimizerConfig(seed=3)
+        for j in range(y.shape[1]):
+            lam = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, 0.0, opt)[0].lambda_max
+            for scale in (1.0, 2.0):
+                res = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, scale * lam, opt)[0]
+                assert res.beta_hat.tobytes() == np.zeros(4).tobytes()
+                assert (res.iterations, res.final_change, res.converged) == (0, 0.0, True)
+                assert res.lambda_max == lam
+                assert res.step == 1.0 / gradient_lipschitz_bound(Regression(y[:, j], x), cfg)
+
+    @PENALTIES
+    def test_lambda_just_below_lambda_max_iterates_to_nonzero(self, pen):
+        x, y, cfg = self.problem()
+        opt = OptimizerConfig(seed=3)
+        for j in range(y.shape[1]):
+            lam = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, 0.0, opt)[0].lambda_max
+            res = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, lam * (1 - 1e-3), opt)[0]
+            assert res.converged and res.iterations > 0
+            assert np.count_nonzero(res.beta_hat) > 0
+
+    def test_screened_column_skips_its_diverging_steps(self):
+        # the setting of test_diverging_column_named_at_its_iteration with a
+        # zero response in front: zero is its exact fit, so it never steps,
+        # although from a start two units away it would overflow first
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 4))
+        truth = rng.standard_normal((4, 3))
+        y = np.column_stack([np.zeros(40), x @ truth])
+        start = np.column_stack([np.full(4, 2.0), truth + 1e-10])
+        start[:, 2] += 1.0
+        kept = start.copy()
+        cfg = RobustConfig(tau=1e308, b=1e308)
+        step = 3.0 / gradient_lipschitz_bound(Regression(y[:, 1], x), cfg)
+        opt = OptimizerConfig(step=step, tol=1e-300, max_iter=5000)
+        (alone,) = proximal_gradient_fit_columns(x, y[:, [0]], cfg, Penalty("l1"), 0.0, opt,
+                                                 start[:, [0]])
+        assert alone.beta_hat.tobytes() == np.zeros(4).tobytes()
+        assert (alone.iterations, alone.converged, alone.lambda_max) == (0, True, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                proximal_gradient_fit_columns(x, y[:, 1:], cfg, Penalty("l1"), 0.0, opt,
+                                              start[:, 1:])
+            it = exc.value.iteration
+            with pytest.raises(DivergenceError) as exc:
+                proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.0, opt, start)
+        # named by its input index, at the iteration it overflows without the screened column
+        assert (exc.value.column, exc.value.iteration) == (2, it)
+        assert it > 100
+        np.testing.assert_array_equal(start, kept)
+
+    @PENALTIES
+    def test_mixed_batch_leaves_start_alone(self, pen):
+        x, y, cfg = self.problem()
+        start = init_columns(4, 6, 3)
+        kept = start.copy()
+        results = proximal_gradient_fit_columns(x, y, cfg, pen, 0.3, OptimizerConfig(), start)
+        assert {r.iterations == 0 for r in results} == {True, False}
+        np.testing.assert_array_equal(start, kept)
+        for res in results:
+            assert (res.iterations == 0) == (res.lambda_max <= 0.3)
+            if res.iterations == 0:
+                assert not res.beta_hat.any()

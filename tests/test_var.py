@@ -210,7 +210,9 @@ class TestFitVar:
     )
     def test_columns_match_single_fits(self, pen):
         # all columns are solved together; each must still equal its own
-        # single-regression fit, stopping at its own iteration
+        # single-regression fit, stopping at its own iteration; at lam=0.3
+        # some columns are zero-optimal and never run, and the rest run in a
+        # narrower batch
         rng = np.random.default_rng(12)
         p = 5
         a = rng.standard_normal((p, p))
@@ -221,19 +223,23 @@ class TestFitVar:
             data[t] = b.T @ data[t - 1] + rng.standard_t(3, p)
         cfg = RobustConfig(tau=1.0, b=3.0)
         opt = OptimizerConfig(seed=5)
-        fit = FitConfig(robust=cfg, penalty=pen, lambda_mode="explicit", lam=0.02, opt=opt)
-        est, results = fit_var(data, 1, fit)
-        assert len({r.iterations for r in results}) > 1
         start = init_columns(p, p, 5)
         x, y = _lagged_design(data, 1)
-        for j in range(p):
-            direct = proximal_gradient_fit_columns(
-                x, y[:, [j]], cfg, pen, 0.02, opt, start[:, [j]]
-            )[0]
-            assert results[j].iterations == direct.iterations
-            assert results[j].converged == direct.converged
-            np.testing.assert_allclose(results[j].beta_hat, direct.beta_hat, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(est.coeffs[0][:, j], results[j].beta_hat)
+        for lam in (0.02, 0.3):
+            fit = FitConfig(robust=cfg, penalty=pen, lambda_mode="explicit", lam=lam, opt=opt)
+            est, results = fit_var(data, 1, fit)
+            assert len({r.iterations for r in results}) > 1
+            assert (min(r.iterations for r in results) == 0) == (lam == 0.3)
+            for j in range(p):
+                direct = proximal_gradient_fit_columns(
+                    x, y[:, [j]], cfg, pen, lam, opt, start[:, [j]]
+                )[0]
+                assert results[j].iterations == direct.iterations
+                assert results[j].converged == direct.converged
+                np.testing.assert_allclose(
+                    results[j].beta_hat, direct.beta_hat, rtol=0, atol=1e-12
+                )
+                np.testing.assert_array_equal(est.coeffs[0][:, j], results[j].beta_hat)
 
     def test_start_replaces_the_seeded_start(self):
         rng = np.random.default_rng(13)
