@@ -112,21 +112,18 @@ def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:
     them once and reuse the array.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("mallows_weights requires finite input")
     if cfg.shrinkage is not None:
         if cfg.shrinkage.shape[1] != x.shape[1]:
             raise ValueError("shrinkage dimension does not match predictor columns")
-        norms = np.linalg.norm(x @ cfg.shrinkage.T, axis=1)
-    else:
-        norms = np.linalg.norm(x, axis=1)
-    w = np.ones_like(norms)
-    nz = norms > 0.0
-    if cfg.weight_form == "linear":
-        w[nz] = np.minimum(1.0, cfg.b / norms[nz])
-    else:
-        w[nz] = np.minimum(1.0, cfg.b * cfg.b / norms[nz] ** 2)
-    return w
+        x = x @ cfg.shrinkage.T
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))  # np.linalg.norm(x, axis=1)'s sum, bit for bit
+    # a zero row divides to inf, so its weight is 1
+    with np.errstate(divide="ignore"):
+        if cfg.weight_form == "linear":
+            return np.minimum(1.0, cfg.b / norms)
+        return np.minimum(1.0, cfg.b * cfg.b / norms**2)
 
 
 def robust_objective(
@@ -191,15 +188,32 @@ def robust_gradient_columns(
     x: np.ndarray, y: np.ndarray, beta: np.ndarray | None, w: np.ndarray, tau: float
 ) -> np.ndarray:
     """Gradients (q, k) at ``beta`` (q, k) of the k regressions of ``y`` (n, k) on the
-    shared design ``x`` (n, q) with weights ``w``, computed in place; not validated.
-    ``beta=None`` stands for zero, where the residual is ``y`` and no ``x @ beta``
-    product is needed."""
+    shared design ``x`` (n, q) with weights ``w``; not validated.  ``beta=None`` stands
+    for zero, where the weighted residual is ``w * y`` and no ``x @ beta`` product is
+    needed."""
+    return _weighted_gradient(*_weighted_design(x, y, w), beta, tau)
+
+
+def _weighted_design(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of the gradient that do not depend on beta: the weighted design
+    ``a = w * x`` (n, q), the weighted responses ``w * y`` (n, k) and
+    ``back = -(w^2 x)'`` (q, n), a transposed view."""
     wc = w[:, None]
+    a = x * wc
+    return a, y * wc, (a * -wc).T
+
+
+def _weighted_gradient(
+    a: np.ndarray, wy: np.ndarray, back: np.ndarray, beta: np.ndarray | None, tau: float
+) -> np.ndarray:
+    """Gradients (q, k) at ``beta`` (q, k) from the pieces of :func:`_weighted_design`:
+    ``back @ clip(wy - a @ beta, -tau, tau) / n``, the residual computed in place."""
     if beta is None:
-        r = y.copy()
+        r = np.clip(wy, -tau, tau)
     else:
-        r = x @ beta
-        np.subtract(y, r, out=r)
-    np.clip(np.multiply(r, wc, out=r), -tau, tau, out=r)
-    g = x.T @ np.multiply(r, wc * wc, out=r)
-    return np.divide(np.negative(g, out=g), x.shape[0], out=g)
+        r = a @ beta
+        np.clip(np.subtract(wy, r, out=r), -tau, tau, out=r)
+    g = back @ r
+    return np.divide(g, a.shape[0], out=g)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _check_int
-from .losses import Regression, RobustConfig, mallows_weights, robust_gradient_columns
+from .losses import Regression, RobustConfig, _weighted_design, _weighted_gradient, mallows_weights
 from .penalties import Penalty, dual_value, prox
 
 __all__ = [
@@ -125,31 +125,34 @@ def proximal_gradient_fit_columns(
     if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1
         lip = _lipschitz_bound(x, w)
         step = 1.0 / lip if lip > 0 else 1.0
+    a, wy, back = _weighted_design(x, y, w)  # built once: the weights never depend on beta
     # dual_value also checks that the groups partition the q coordinates
-    lambda_max = dual_value(pen, robust_gradient_columns(x, y, None, w, cfg.tau))
+    lambda_max = dual_value(pen, _weighted_gradient(a, wy, back, None, cfg.tau))
     results: list = [
         FitResult(np.zeros(q), 0, 0.0, True, step, float(lmax)) if lmax <= lam else None
         for lmax in lambda_max
     ]
     cols = np.flatnonzero(lambda_max > lam)  # index of each running column in the input
-    beta, y = start[:, cols], y[:, cols]
+    beta, wy = start[:, cols], wy[:, cols]
     it = 0
     while cols.size:
         it += 1
-        g = robust_gradient_columns(x, y, beta, w, cfg.tau)
+        g = _weighted_gradient(a, wy, back, beta, cfg.tau)
         stepped = np.subtract(beta, np.multiply(g, step, out=g), out=g)
         # unvalidated prox; a column has a non-finite change exactly when it diverged
         beta_new = prox(pen, stepped, lam * step)
-        change = np.linalg.norm(np.subtract(beta_new, beta, out=stepped), axis=0)
+        d = np.subtract(beta_new, beta, out=stepped)
+        # the sum np.linalg.norm(axis=0) computes, bit for bit, in the stepped buffer
+        change = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=0))
         if not np.isfinite(change).all() and not (ok := np.isfinite(beta_new).all(axis=0)).all():
             raise DivergenceError(it, int(cols[np.argmin(ok)]))
         beta = beta_new
         done = (change <= opt.tol) | (it == opt.max_iter)
-        for i in np.flatnonzero(done):
-            results[cols[i]] = FitResult(
-                beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
-                float(lambda_max[cols[i]]),
-            )
         if done.any():
-            cols, beta, y = cols[~done], beta[:, ~done], y[:, ~done]
+            for i in np.flatnonzero(done):
+                results[cols[i]] = FitResult(
+                    beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
+                    float(lambda_max[cols[i]]),
+                )
+            cols, beta, wy = cols[~done], beta[:, ~done], wy[:, ~done]
     return results

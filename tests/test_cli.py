@@ -113,6 +113,23 @@ class TestFitCommand:
         assert "columns_converged=5/5" in capsys.readouterr().out
         np.testing.assert_array_equal(read_var_model_csv(out).stacked(), np.zeros((5, 5)))
 
+    def test_fit_writes_no_negative_zero(self, tmp_path, monkeypatch):
+        # the l1 prox thresholds negatives to -0.0; the model file writes them as 0
+        fits = []
+        real = cli.fit_var
+        monkeypatch.setattr(cli, "fit_var", lambda *a: fits.append(real(*a)) or fits[-1])
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--p", "10", "--df", "3", "--n", "100",
+                    "--seed", "1", "--out", str(data)]) == 0
+        out = tmp_path / "bhat.csv"
+        assert run(["fit", "--input", str(data), "--lag", "1", "--tau", "1", "--b", "3",
+                    "--lambda-mode", "explicit", "--lambda", "0.02", "--out", str(out)]) == 0
+        est = fits[0][0].stacked()
+        assert np.signbit(est[est == 0]).any()
+        cells = [c for line in out.read_text().splitlines()[1:] for c in line.split(",")]
+        assert "0" in cells and "-0" not in cells
+        np.testing.assert_array_equal(read_var_model_csv(out).stacked(), est)
+
     def test_step_provenance(self, tmp_path):
         data = tmp_path / "data.csv"
         assert run(["simulate", "--p", "3", "--df", "3", "--n", "40",

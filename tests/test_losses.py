@@ -52,8 +52,22 @@ def out_of_place_gradient(x, y, beta, w, tau):
     """The out-of-place form of the ``robust_gradient_columns`` expression,
     a bit-for-bit oracle for its in-place computation."""
     wc = w[:, None]
-    lp = np.clip(wc * (y - x @ beta), -tau, tau)
-    return -(x.T @ (lp * (wc * wc))) / x.shape[0]
+    a = x * wc
+    lp = np.clip(y * wc - a @ beta, -tau, tau)
+    return ((a * -wc).T @ lp) / x.shape[0]
+
+
+def masked_weights(x, cfg):
+    """The masked form of ``mallows_weights``: weight 1 on zero rows, b / ||z||
+    (or its square) on the others, with z the row after the shrinkage product."""
+    norms = np.linalg.norm(x if cfg.shrinkage is None else x @ cfg.shrinkage.T, axis=1)
+    w = np.ones_like(norms)
+    nz = norms > 0.0
+    if cfg.weight_form == "linear":
+        w[nz] = np.minimum(1.0, cfg.b / norms[nz])
+    else:
+        w[nz] = np.minimum(1.0, cfg.b * cfg.b / norms[nz] ** 2)
+    return w
 
 
 def huber_derivative(u, tau):
@@ -182,6 +196,22 @@ class TestMallowsWeight:
             ws = mallows_weights(x, cfg)
             for i in range(50):
                 assert ws[i] == pytest.approx(mallows_weights(x[i][None, :], cfg)[0], rel=1e-14)
+
+    def test_bit_identical_to_masked_form(self):
+        # 1,200 designs with zero rows, with and without shrinkage, both forms,
+        # rows short and long enough for numpy's unrolled pairwise sum (q >= 8)
+        rng = np.random.default_rng(12)
+        for case in range(1200):
+            n, q = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            x = rng.standard_t(2, (n, q)) * rng.uniform(0.1, 10)
+            x[rng.uniform(size=n) < 0.2] = 0.0
+            shrink = None
+            if case % 2:
+                m = rng.standard_normal((q, q))
+                shrink = m @ m.T + q * np.eye(q)
+            cfg = RobustConfig(tau=1, b=float(rng.uniform(0.1, 5)), shrinkage=shrink,
+                               weight_form=("linear", "quadratic")[case // 2 % 2])
+            assert mallows_weights(x, cfg).tobytes() == masked_weights(x, cfg).tobytes()
 
     def test_non_pd_shrinkage_rejected(self):
         with pytest.raises(ValueError):

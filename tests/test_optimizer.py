@@ -13,6 +13,7 @@ from robustvar import (
     robust_gradient,
     robust_objective,
 )
+from robustvar import losses, optimizer
 from robustvar.losses import mallows_weights
 from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
 from robustvar.penalties import dual_value, prox
@@ -106,6 +107,23 @@ class TestProximalGradientFit:
         assert checked == [4]  # the groups are checked once per fit, not per iteration
         # weak-signal block shrunk harder than the active block
         assert np.linalg.norm(res.beta_hat[2:]) < np.linalg.norm(res.beta_hat[:2])
+
+    def test_weighted_design_built_once(self, monkeypatch):
+        built = []
+        real = losses._weighted_design
+        for module in (losses, optimizer):
+            monkeypatch.setattr(
+                module, "_weighted_design", lambda x, y, w: built.append(y.shape) or real(x, y, w)
+            )
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((60, 4)) * 2
+        y = x @ rng.standard_normal((4, 3)) + rng.standard_t(3, (60, 3))
+        res = proximal_gradient_fit_columns(
+            x, y, RobustConfig(tau=1, b=3), Penalty("l1"), 0.01, OptimizerConfig(seed=5)
+        )
+        assert all(r.converged for r in res)
+        assert len({r.iterations for r in res}) > 1  # the batch narrows as columns stop
+        assert built == [(60, 3)]  # once per fit for all columns, not once per iteration
 
     def test_monotone_descent_with_default_step(self):
         rng = np.random.default_rng(4)
