@@ -11,15 +11,9 @@ from .losses import (
     RobustConfig,
     mallows_weights,
     robust_gradient,
-    robust_objective,
 )
 from .penalties import Penalty, dual_value
-from .optimizer import (
-    DivergenceError,
-    FitResult,
-    OptimizerConfig,
-    gradient_lipschitz_bound,
-)
+from .optimizer import DivergenceError, FitResult, OptimizerConfig
 from .var import (
     FitConfig,
     VarModel,

@@ -141,8 +141,7 @@ def _cmd_fit(args) -> int:
         opt=OptimizerConfig(step=args.step, tol=args.tol, max_iter=args.max_iter, seed=args.seed),
     )
     est, results = fit_var(data, args.lag, fit)
-    # + 0.0 turns the l1 prox's thresholded negatives (-0.0) into 0, so no cell reads -0
-    write_var_model_csv(VarModel(tuple(c + 0.0 for c in est.coeffs)), args.out)
+    write_var_model_csv(est, args.out)
     lam = fit.lambda_for(est.p, args.lag, data.shape[0] - args.lag)
     write_provenance(
         args.out + ".provenance.json",

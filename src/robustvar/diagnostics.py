@@ -7,7 +7,9 @@ smallest remainder-to-squared-norm ratio observed.  The probes are evaluated
 in blocks through one objective call each, which gives the same values, bit
 for bit, as evaluating them one at a time.  Both work on a
 ``Regression`` with known truth; the replicated run over the benchmark
-generator is ``experiments.run_deviation_experiment``.
+generator, ``experiments.run_deviation_experiment``, passes its lagged design
+to ``diagnostics_replication``, which weights it and takes the gradient at
+the truth once for both checks.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .losses import (
     Regression,
     RobustConfig,
     mallows_weights,
-    robust_gradient,
-    robust_objective,
+    robust_gradient_columns,
     robust_objective_columns,
 )
 from .penalties import Penalty, dual_value
@@ -53,6 +54,20 @@ class DiagnosticsReport:
     min_direction: np.ndarray | None
 
 
+def _at_truth(
+    x: np.ndarray, y: np.ndarray, beta_star, cfg: RobustConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The truth as float64, checked once where it enters (shape (q,), finite),
+    then the Mallows weights of ``x`` and the loss gradient (q,) at the truth."""
+    beta_star = np.asarray(beta_star, dtype=np.float64)
+    if beta_star.shape != (x.shape[1],):
+        raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({x.shape[1]},)")
+    if not np.isfinite(beta_star).all():
+        raise ValueError("beta_star must be finite")
+    w = mallows_weights(x, cfg)
+    return beta_star, w, robust_gradient_columns(x, y[:, None], beta_star[:, None], w, cfg.tau)[:, 0]
+
+
 def deviation_check(
     reg: Regression,
     beta_star: np.ndarray,
@@ -61,32 +76,35 @@ def deviation_check(
     lam: float,
 ) -> tuple[float, bool]:
     """Dual norm of the gradient at the truth, and whether it is at most lam/2."""
-    stat = dual_value(pen, robust_gradient(reg, beta_star, cfg))
+    stat = dual_value(pen, _at_truth(reg.x, reg.y, beta_star, cfg)[2])
     return stat, stat <= lam / 2.0
 
 
 def _re_probe(
-    reg: Regression,
-    beta_star: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: RobustConfig,
     radius: float | None,
     n_directions: int,
     sparsity_s: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
-    """Smallest remainder ratio and its direction; radius None is tau / (2 * b_max)."""
+    """Smallest remainder ratio and its direction at ``truth``, the
+    (beta_star, weights, gradient) of :func:`_at_truth`; radius None is
+    tau / (2 * b_max).  A non-finite loss at the truth raises."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     _check_int("n_directions", n_directions, 1)
     _check_int("sparsity_s", sparsity_s, 1)
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    q = reg.q
+    beta_star, w, grad = truth
+    q = x.shape[1]
     s = min(sparsity_s, q)
-    w = mallows_weights(reg.x, cfg)
-    base = robust_objective(reg, beta_star, cfg, weights=w)
-    grad = robust_gradient(reg, beta_star, cfg, weights=w)
+    base = float(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0])
+    if not math.isfinite(base):
+        raise ValueError("the loss at beta_star is not finite")
     rng = np.random.default_rng(seed)
     probes = []
     for _ in range(n_directions):
@@ -101,11 +119,10 @@ def _re_probe(
         # probe both u and -u
         probes += (u, -u)
     directions = np.array(probes).reshape(-1, q)
-    best = np.inf
-    best_dir = np.zeros(q)
+    best, best_dir = np.inf, np.zeros(q)
     for start in range(0, len(directions), _PROBE_BLOCK):
         block = directions[start : start + _PROBE_BLOCK]
-        values = robust_objective_columns(reg.x, reg.y, beta_star + block, w, cfg.tau)
+        values = robust_objective_columns(x, y, beta_star + block, w, cfg.tau)
         for v, value in zip(block, values):
             ratio = (value - base - grad @ v) / (radius * radius)
             if ratio < best:
@@ -131,11 +148,13 @@ def re_check(
     with both signs.  The result is nonnegative up to roundoff because the
     loss is convex.
     """
-    return _re_probe(reg, beta_star, cfg, radius, n_directions, sparsity_s, seed)[0]
+    truth = _at_truth(reg.x, reg.y, beta_star, cfg)
+    return _re_probe(reg.x, reg.y, truth, cfg, radius, n_directions, sparsity_s, seed)[0]
 
 
 def diagnostics_replication(
-    reg: Regression,
+    x: np.ndarray,
+    y: np.ndarray,
     beta_star: np.ndarray,
     cfg: RobustConfig,
     pen: Penalty,
@@ -144,23 +163,17 @@ def diagnostics_replication(
     n_directions: int = 200,
     include_re: bool = True,
 ) -> DiagnosticsReport:
-    """Both condition diagnostics for one regression with known truth."""
-    stat, ok = deviation_check(reg, beta_star, cfg, pen, lam)
-    re_hat = np.nan
-    min_dir = None
-    n_dirs = 0
+    """Both condition diagnostics for the regression of ``y`` (n,) on ``x``
+    (n, q), both finite float64, with known truth; the weights and the
+    gradient at the truth are computed once and feed both checks."""
+    truth = _at_truth(x, y, beta_star, cfg)
+    stat = dual_value(pen, truth[2])
+    re_hat, min_dir, n_dirs = np.nan, None, 0
     if include_re:
-        s = max(1, int(np.count_nonzero(beta_star)))
-        re_hat, min_dir = _re_probe(reg, beta_star, cfg, None, n_directions, s, seed)
+        s = max(1, int(np.count_nonzero(truth[0])))
+        re_hat, min_dir = _re_probe(x, y, truth, cfg, None, n_directions, s, seed)
         n_dirs = n_directions
-    return DiagnosticsReport(
-        deviation_stat=stat,
-        lambda_half=lam / 2.0,
-        deviation_pass=ok,
-        re_hat=re_hat,
-        re_directions=n_dirs,
-        min_direction=min_dir,
-    )
+    return DiagnosticsReport(stat, lam / 2.0, stat <= lam / 2.0, re_hat, n_dirs, min_dir)
 
 
 def write_reports_csv(reports: list[DiagnosticsReport], path) -> None:

@@ -29,8 +29,8 @@ from ._checks import _check_int
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
-from .losses import Regression, RobustConfig
-from .optimizer import OptimizerConfig, gradient_lipschitz_bound, init_columns
+from .losses import RobustConfig, mallows_weights
+from .optimizer import OptimizerConfig, _lipschitz_bound, init_columns
 from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
@@ -235,8 +235,8 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
             data = exc
     if data is not None and spec.step is not None:
         # the bound depends on the lag-1 design and b, not on tau
-        first = Regression(data[1:, 0], data[:-1])
-        lip = gradient_lipschitz_bound(first, RobustConfig(tau=1.0, b=spec.b))
+        x = data[:-1]
+        lip = _lipschitz_bound(x, mallows_weights(x, RobustConfig(tau=1.0, b=spec.b)))
         if spec.step * lip > 2.0:
             log.warning(
                 "cell %d rep %d: step %.3g exceeds 2/L = %.3g, so descent is not guaranteed",
@@ -361,10 +361,10 @@ def run_deviation_experiment(
         for rep_seed, dgp, data in zip(rep_seeds, dgps, paths):
             if isinstance(data, SimulationError):
                 raise data
-            reg = Regression(data[1:, column], data[:-1])
             reports.append(diagnostics_replication(
-                reg, dgp.model.stacked()[:, column], fit.robust, fit.penalty, lam,
-                seed=derive_seed(rep_seed, 2), n_directions=n_directions, include_re=include_re,
+                data[:-1], data[1:, column], dgp.model.stacked()[:, column], fit.robust,
+                fit.penalty, lam, seed=derive_seed(rep_seed, 2), n_directions=n_directions,
+                include_re=include_re,
             ))
     return reports
 

@@ -19,7 +19,6 @@ __all__ = [
     "RobustConfig",
     "Regression",
     "mallows_weights",
-    "robust_objective",
     "robust_objective_columns",
     "robust_gradient",
     "robust_gradient_columns",
@@ -126,28 +125,6 @@ def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:
         return np.minimum(1.0, cfg.b * cfg.b / norms**2)
 
 
-def robust_objective(
-    reg: Regression,
-    beta: np.ndarray,
-    cfg: RobustConfig,
-    weights: np.ndarray | None = None,
-) -> float:
-    """Weighted robust empirical loss at ``beta``.
-
-    Summation uses ``math.fsum`` (exactly rounded), so the value does not
-    depend on accumulation order.  The one-row case of
-    :func:`robust_objective_columns`; a non-finite value raises.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (reg.q,):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
-    w = mallows_weights(reg.x, cfg) if weights is None else weights
-    value = float(robust_objective_columns(reg.x, reg.y, beta[None, :], w, cfg.tau)[0])
-    if not math.isfinite(value):
-        raise ValueError("robust_objective requires a finite residual")
-    return value
-
-
 def robust_objective_columns(
     x: np.ndarray, y: np.ndarray, betas: np.ndarray, w: np.ndarray, tau: float
 ) -> np.ndarray:
@@ -170,7 +147,7 @@ def robust_gradient(
     cfg: RobustConfig,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of ``robust_objective`` at ``beta``.
+    """Gradient of the weighted robust loss of ``reg`` at ``beta``.
 
     Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i, the one-column case
     of :func:`robust_gradient_columns`, which the solver also uses.

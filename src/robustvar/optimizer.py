@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import _check_int
-from .losses import Regression, RobustConfig, _weighted_design, _weighted_gradient, mallows_weights
+from .losses import RobustConfig, _weighted_design, _weighted_gradient, mallows_weights
 from .penalties import Penalty, dual_value, prox
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "FitResult",
     "DivergenceError",
     "init_columns",
-    "gradient_lipschitz_bound",
     "proximal_gradient_fit_columns",
 ]
 
@@ -34,10 +33,10 @@ class DivergenceError(RuntimeError):
 class OptimizerConfig:
     """Settings for the proximal gradient loop.
 
-    ``step=None`` (the default) steps by 1/L, the inverse of the design's
-    gradient Lipschitz bound (:func:`gradient_lipschitz_bound`), which
-    guarantees monotone descent of the penalized objective; a float is used
-    as a fixed step instead.
+    ``step=None`` (the default) steps by 1/L, where L is the design's gradient
+    Lipschitz bound (:func:`_lipschitz_bound`, the largest eigenvalue of the
+    Mallows-weighted Gram matrix), which guarantees monotone descent of the
+    penalized objective; a float is used as a fixed step instead.
     """
 
     step: float | None = None
@@ -81,13 +80,9 @@ def init_columns(q: int, k: int, seed: int) -> np.ndarray:
     return (v / nrm[:, None]).T.copy()
 
 
-def gradient_lipschitz_bound(reg: Regression, cfg: RobustConfig) -> float:
-    """Largest eigenvalue of (1/n) sum_i w_i^3 x_i x_i', a bound on the
-    curvature of the robust loss."""
-    return _lipschitz_bound(reg.x, mallows_weights(reg.x, cfg))
-
-
 def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
+    """Largest eigenvalue of (1/n) sum_i w_i^3 x_i x_i' for the design ``x`` with
+    Mallows weights ``w``, a bound on the curvature of the robust loss."""
     xw = x * (w ** 1.5)[:, None]
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
 

@@ -2,6 +2,15 @@
 
 import numpy as np
 
+from robustvar.losses import mallows_weights, robust_objective_columns
+
+
+def objective_at(reg, beta, cfg):
+    """The weighted robust loss of the regression ``reg`` at one ``beta``: the
+    one-row case of the objective kernel, with the design's Mallows weights."""
+    w = mallows_weights(reg.x, cfg)
+    return float(robust_objective_columns(reg.x, reg.y, beta[None, :], w, cfg.tau)[0])
+
 
 def penalty_norm(pen, v):
     """Penalty norm of ``v``: sum |v_j| (l1) or the sum of block norms (group),

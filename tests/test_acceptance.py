@@ -40,7 +40,7 @@ from robustvar.simulate import (
     simulate,
 )
 
-from conftest import cd_robust_lasso, penalty_norm
+from conftest import cd_robust_lasso, objective_at, penalty_norm
 
 
 def report(num: int, text: str) -> None:
@@ -98,7 +98,7 @@ def test_01_gradient_vs_finite_differences():
             bp, bm = beta.copy(), beta.copy()
             bp[k] += h
             bm[k] -= h
-            g_fd[k] = (rv.robust_objective(reg, bp, cfg) - rv.robust_objective(reg, bm, cfg)) / (2 * h)
+            g_fd[k] = (objective_at(reg, bp, cfg) - objective_at(reg, bm, cfg)) / (2 * h)
         assert np.linalg.norm(g - g_fd) <= 1e-6 * np.linalg.norm(g_fd)
         checked += 1
     elapsed = time.time() - t0
@@ -173,8 +173,8 @@ def test_04_small_instance_optimality():
             rv.OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k),
         )[0]
         ref = cd_robust_lasso(y, x, lam, tau, b)
-        f_pg = rv.robust_objective(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
-        f_cd = rv.robust_objective(reg, ref, cfg) + lam * penalty_norm(pen, ref)
+        f_pg = objective_at(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
+        f_cd = objective_at(reg, ref, cfg) + lam * penalty_norm(pen, ref)
         worst = max(worst, f_pg - f_cd)
         assert f_pg <= f_cd + 1e-6
     elapsed = time.time() - t0

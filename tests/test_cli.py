@@ -7,15 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from robustvar import (
-    Regression,
-    RobustConfig,
-    gradient_lipschitz_bound,
-    read_series_csv,
-    read_var_model_csv,
-)
+from robustvar import RobustConfig, mallows_weights, read_series_csv, read_var_model_csv
 from robustvar import cli
 from robustvar.cli import build_parser, cli_main, dgp_from_dict
+from robustvar.optimizer import _lipschitz_bound
 from robustvar.simulate import (
     ArchVarDgp,
     BekkVarDgp,
@@ -135,9 +130,8 @@ class TestFitCommand:
         assert run(["simulate", "--p", "3", "--df", "3", "--n", "40",
                     "--burn-in", "50", "--seed", "6", "--out", str(data)]) == 0
         series = read_series_csv(data)
-        lip = gradient_lipschitz_bound(
-            Regression(series[1:, 0], series[:-1]), RobustConfig(tau=1.0, b=3.0)
-        )
+        x = series[:-1]
+        lip = _lipschitz_bound(x, mallows_weights(x, RobustConfig(tau=1.0, b=3.0)))
         out = tmp_path / "bhat.csv"
         common = ["fit", "--input", str(data), "--tau", "1", "--out", str(out)]
         assert run(common) == 0

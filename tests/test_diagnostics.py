@@ -22,14 +22,13 @@ from robustvar import (
     mallows_weights,
     re_check,
     robust_gradient,
-    robust_objective,
     simulate,
 )
-from robustvar import diagnostics
+from robustvar import diagnostics, losses
 from robustvar._seeds import derive_seed
-from robustvar.diagnostics import _re_probe, diagnostics_replication, write_reports_csv
+from robustvar.diagnostics import _at_truth, _re_probe, diagnostics_replication, write_reports_csv
 from robustvar.experiments import run_deviation_experiment
-from robustvar.losses import _huber, robust_objective_columns
+from robustvar.losses import _huber, robust_gradient_columns, robust_objective_columns
 
 
 def naive_linf_gradient(y, x, beta, tau, b):
@@ -47,6 +46,13 @@ def one_point_objective(reg, beta, cfg, w):
     """The weighted robust loss at one beta, written out with one matrix-vector product."""
     terms = w * _huber(w * (reg.y - reg.x @ beta), cfg.tau)
     return math.fsum(terms.tolist()) / reg.n
+
+
+def probe(reg, beta, cfg, radius, n_directions, s, seed):
+    """The blocked curvature probe at the truth ``beta``, with the weights and
+    gradient that the checks compute once before it."""
+    truth = _at_truth(reg.x, reg.y, beta, cfg)
+    return _re_probe(reg.x, reg.y, truth, cfg, radius, n_directions, s, seed)
 
 
 def probe_directions(q, s, radius, n_directions, seed):
@@ -144,11 +150,12 @@ class TestReCheck:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1.0, b=3.0)
         radius = cfg.tau / (2 * cfg.b_max)
-        got, direction = _re_probe(reg, beta, cfg, radius, 1, 2, seed=9)
-        base = robust_objective(reg, beta, cfg)
+        got, direction = probe(reg, beta, cfg, radius, 1, 2, seed=9)
+        w = mallows_weights(reg.x, cfg)
+        base = one_point_objective(reg, beta, cfg, w)
         grad = robust_gradient(reg, beta, cfg)
         by_hand = min(
-            (robust_objective(reg, beta + v, cfg) - base - grad @ v) / (radius**2)
+            (one_point_objective(reg, beta + v, cfg, w) - base - grad @ v) / (radius**2)
             for v in (direction, -direction)
         )
         assert got == pytest.approx(by_hand, rel=1e-12)
@@ -172,12 +179,13 @@ class TestReCheck:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1.0, b=10.0)
         beta = np.zeros(1)
-        base = robust_objective(reg, beta, cfg)
+        w = mallows_weights(reg.x, cfg)
+        base = one_point_objective(reg, beta, cfg, w)
         grad = robust_gradient(reg, beta, cfg)
         radius = 0.4
         u = np.array([radius])
-        up = (robust_objective(reg, u, cfg) - base - grad @ u) / radius**2
-        dn = (robust_objective(reg, -u, cfg) - base - grad @ (-u)) / radius**2
+        up = (one_point_objective(reg, u, cfg, w) - base - grad @ u) / radius**2
+        dn = (one_point_objective(reg, -u, cfg, w) - base - grad @ (-u)) / radius**2
         assert up != pytest.approx(dn, rel=1e-6)
         got = re_check(reg, beta, cfg, radius=radius, n_directions=3, sparsity_s=1, seed=0)
         assert got <= min(up, dn) + 1e-12
@@ -191,7 +199,7 @@ class TestBlockedProbe:
         reg, beta = heavy_tailed_regression(q, 120, seed=10 * q + s)
         cfg = RobustConfig(tau=0.8, b=2.0)
         radius = 0.7
-        got, direction = _re_probe(reg, beta, cfg, radius, 150, s, seed=q + s)
+        got, direction = probe(reg, beta, cfg, radius, 150, s, seed=q + s)
         want, want_dir = one_at_a_time_probe(reg, beta, cfg, radius, 150, s, seed=q + s)
         assert got == want
         np.testing.assert_array_equal(direction, want_dir)
@@ -206,7 +214,7 @@ class TestBlockedProbe:
         beta = np.vstack(regimes)[:, 0]
         cfg = RobustConfig(tau=1.0, b=3.0)
         radius = cfg.tau / (2 * cfg.b_max)
-        got, direction = _re_probe(reg, beta, cfg, None, 150, 2, seed=13)
+        got, direction = probe(reg, beta, cfg, None, 150, 2, seed=13)
         want, want_dir = one_at_a_time_probe(reg, beta, cfg, radius, 150, 2, seed=13)
         assert got == want
         np.testing.assert_array_equal(direction, want_dir)
@@ -220,12 +228,15 @@ class TestBlockedProbe:
 
         monkeypatch.setattr(diagnostics, "robust_objective_columns", record)
         reg, beta = heavy_tailed_regression(6, 50, seed=15)
-        _re_probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 150, 2, seed=3)
-        assert [len(b) for b in evaluated] == [64] * 4 + [44]
+        probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 150, 2, seed=3)
+        # the loss at the truth alone comes first, then the probes in blocks
+        truth, *blocks = evaluated
+        np.testing.assert_array_equal(truth, [beta])
+        assert [len(b) for b in blocks] == [64] * 4 + [44]
         want = [beta + v for v in probe_directions(6, 2, 0.5, 150, seed=3)]
-        np.testing.assert_array_equal(np.vstack(evaluated), want)
+        np.testing.assert_array_equal(np.vstack(blocks), want)
 
-    def test_one_row_objective_equals_robust_objective(self):
+    def test_one_row_objective_equals_one_point_objective(self):
         reg, _ = heavy_tailed_regression(7, 90, seed=14)
         cfg = RobustConfig(tau=0.6, b=1.5)
         w = mallows_weights(reg.x, cfg)
@@ -233,7 +244,7 @@ class TestBlockedProbe:
         for beta in betas:
             value = robust_objective_columns(reg.x, reg.y, beta[None, :], w, cfg.tau)
             assert value.shape == (1,)
-            assert value[0] == robust_objective(reg, beta, cfg) == one_point_objective(reg, beta, cfg, w)
+            assert value[0] == one_point_objective(reg, beta, cfg, w)
 
     def test_many_rows_equal_one_point_objectives(self):
         # one matrix product over all rows would round some values differently
@@ -270,21 +281,83 @@ class TestBlockedProbe:
             re_check(reg, beta, RobustConfig(tau=1.0, b=3.0), radius=radius)
 
 
+CHECKS = {
+    "deviation_check": lambda reg, beta, cfg: deviation_check(reg, beta, cfg, Penalty("l1"), 0.5),
+    "re_check": lambda reg, beta, cfg: re_check(reg, beta, cfg, n_directions=5),
+    "diagnostics_replication": lambda reg, beta, cfg: diagnostics_replication(
+        reg.x, reg.y, beta, cfg, Penalty("l1"), 0.5, seed=0, n_directions=5,
+    ),
+}
+
+
+class TestTruthChecked:
+    @pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            (np.zeros(2), r"^beta_star has shape \(2,\), expected \(3,\)$"),
+            (np.zeros((3, 1)), r"^beta_star has shape \(3, 1\), expected \(3,\)$"),
+            (np.array([0.0, np.nan, 1.0]), "^beta_star must be finite$"),
+            (np.array([np.inf, 0.0, 1.0]), "^beta_star must be finite$"),
+        ],
+        ids=["short", "column", "nan", "inf"],
+    )
+    def test_bad_truth_fails_before_any_work(self, monkeypatch, check, beta, message):
+        def boom(*a, **k):
+            raise AssertionError("weights computed for a bad truth")
+
+        monkeypatch.setattr(diagnostics, "mallows_weights", boom)
+        reg, _ = heavy_tailed_regression(3, 20, seed=19)
+        with pytest.raises(ValueError, match=message):
+            check(reg, beta, RobustConfig(tau=1.0, b=3.0))
+
+    @pytest.mark.parametrize("check", ["re_check", "diagnostics_replication"])
+    def test_overflowing_loss_at_truth_raises(self, check):
+        # a finite truth whose residuals square past the float range inside
+        # the Huber cut-off: the loss is inf, so the curvature ratios would be nan
+        reg = Regression(np.zeros(3), np.ones((3, 1)))
+        cfg = RobustConfig(tau=1e300, b=1e300)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="loss at beta_star is not finite"):
+            CHECKS[check](reg, np.array([1e200]), cfg)
+
+
 class TestReplicationDriver:
     def test_report_invariant(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((25, 3))
         beta = rng.standard_normal(3)
         y = x @ beta + rng.standard_normal(25)
-        reg = Regression(y, x)
         rep = diagnostics_replication(
-            reg, beta, RobustConfig(tau=1, b=3), Penalty("l1"), lam=0.8, seed=0,
+            x, y, beta, RobustConfig(tau=1, b=3), Penalty("l1"), lam=0.8, seed=0,
             n_directions=5,
         )
         assert rep.deviation_pass == (rep.deviation_stat <= rep.lambda_half)
         assert rep.lambda_half == 0.4
         assert rep.re_directions == 5
         assert rep.min_direction is not None
+
+    def test_weights_and_gradient_once(self, monkeypatch):
+        # counted through every module name, so a wrapper that re-derives
+        # either one is seen
+        calls = {"weights": 0, "gradient": 0}
+        real_w, real_g = losses.mallows_weights, robust_gradient_columns
+
+        def weights(*a):
+            calls["weights"] += 1
+            return real_w(*a)
+
+        def gradient(*a):
+            calls["gradient"] += 1
+            return real_g(*a)
+
+        for module in (losses, diagnostics):
+            monkeypatch.setattr(module, "mallows_weights", weights)
+            monkeypatch.setattr(module, "robust_gradient_columns", gradient, raising=False)
+        reg, beta = heavy_tailed_regression(5, 40, seed=20)
+        rep = diagnostics_replication(reg.x, reg.y, beta, RobustConfig(tau=1.0, b=3.0),
+                                      Penalty("l1"), 0.5, seed=1, n_directions=10, include_re=True)
+        assert rep.re_directions == 10 and math.isfinite(rep.re_hat)
+        assert calls == {"weights": 1, "gradient": 1}
 
     def test_experiment_deterministic(self):
         a = run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)

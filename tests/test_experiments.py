@@ -298,7 +298,7 @@ class TestRunExperiment:
         def boom(*a, **k):
             raise AssertionError("curvature bound computed for the default step")
 
-        monkeypatch.setattr(exps, "gradient_lipschitz_bound", boom)
+        monkeypatch.setattr(exps, "_lipschitz_bound", boom)
         with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
             rows = run_experiment(tiny_spec())
         assert all(math.isfinite(r["error"]) for r in rows)

@@ -9,10 +9,12 @@ from robustvar import (
     Regression,
     RobustConfig,
     mallows_weights,
+    re_check,
     robust_gradient,
-    robust_objective,
 )
-from robustvar.losses import _huber, robust_gradient_columns
+from robustvar.losses import _huber, robust_gradient_columns, robust_objective_columns
+
+from conftest import objective_at
 
 
 def naive_objective(y, x, beta, tau, b, shrink=None, form="linear"):
@@ -84,7 +86,7 @@ def fd_gradient(reg, beta, cfg, h=1e-6):
         bp, bm = beta.copy(), beta.copy()
         bp[k] += h
         bm[k] -= h
-        g[k] = (robust_objective(reg, bp, cfg) - robust_objective(reg, bm, cfg)) / (2 * h)
+        g[k] = (objective_at(reg, bp, cfg) - objective_at(reg, bm, cfg)) / (2 * h)
     return g
 
 
@@ -127,10 +129,14 @@ class TestHuber:
         assert _huber(tau + eps, tau) == pytest.approx(_huber(tau - eps, tau), abs=1e-8)
 
     def test_nonfinite_rejected(self):
-        # an infinite residual makes the loss infinite, which the objective rejects
+        # an infinite residual makes the loss infinite; the unvalidated kernel
+        # returns it, and the curvature check, which evaluates the loss at a
+        # given truth, rejects that truth
         reg = Regression(y=np.array([1.0]), x=np.array([[1.0]]))
+        beta = np.array([np.inf])
+        assert robust_objective_columns(reg.x, reg.y, beta[None, :], np.ones(1), 1.0)[0] == np.inf
         with pytest.raises(ValueError):
-            robust_objective(reg, np.array([np.inf]), RobustConfig(tau=1, b=1))
+            re_check(reg, beta, RobustConfig(tau=1, b=1))
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
@@ -225,12 +231,12 @@ class TestRobustObjective:
         beta = rng.standard_normal(3)
         reg = Regression(y=x @ beta, x=x)
         cfg = RobustConfig(tau=1, b=3)
-        assert robust_objective(reg, beta, cfg) == pytest.approx(0.0, abs=1e-15)
+        assert objective_at(reg, beta, cfg) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_point_linear_branch(self):
         reg = Regression(y=np.array([3.0]), x=np.array([[0.0]]))
         cfg = RobustConfig(tau=1, b=3)
-        assert robust_objective(reg, np.array([0.0]), cfg) == pytest.approx(2.5)
+        assert objective_at(reg, np.array([0.0]), cfg) == pytest.approx(2.5)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
@@ -242,7 +248,7 @@ class TestRobustObjective:
                 beta = rng.standard_normal(q)
                 tau, b = float(rng.uniform(0.3, 4)), float(rng.uniform(0.5, 5))
                 cfg = RobustConfig(tau=tau, b=b, weight_form=form)
-                got = robust_objective(reg := Regression(y, x), beta, cfg)
+                got = objective_at(Regression(y, x), beta, cfg)
                 want = naive_objective(y, x, beta, tau, b, form=form)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -255,8 +261,8 @@ class TestRobustObjective:
         for _ in range(100):
             b1, b2 = rng.standard_normal(5), rng.standard_normal(5)
             t = float(rng.uniform())
-            lhs = robust_objective(reg, t * b1 + (1 - t) * b2, cfg)
-            rhs = t * robust_objective(reg, b1, cfg) + (1 - t) * robust_objective(reg, b2, cfg)
+            lhs = objective_at(reg, t * b1 + (1 - t) * b2, cfg)
+            rhs = t * objective_at(reg, b1, cfg) + (1 - t) * objective_at(reg, b2, cfg)
             assert lhs <= rhs + 1e-12
 
     def test_least_squares_limit(self):
@@ -267,7 +273,7 @@ class TestRobustObjective:
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1e8, b=1e8)
         half_mse = 0.5 * np.mean((y - x @ beta) ** 2)
-        assert robust_objective(reg, beta, cfg) == pytest.approx(half_mse, rel=1e-8)
+        assert objective_at(reg, beta, cfg) == pytest.approx(half_mse, rel=1e-8)
 
     def test_empty_regression_rejected(self):
         with pytest.raises(ValueError):
@@ -354,12 +360,9 @@ class TestRobustGradient:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_beta_rejected(self, bad):
-        # the objective and its gradient reject the same points; the gradient
-        # kernel alone would clip an infinite residual to a finite score
+        # the gradient kernel alone would clip an infinite residual to a finite score
         reg = Regression(y=np.array([1.0, 2.0]), x=np.array([[1.0, 0.5], [2.0, 1.0]]))
         cfg = RobustConfig(tau=1, b=3)
         beta = np.array([0.5, bad])
-        with pytest.raises(ValueError, match="robust_objective requires a finite residual"):
-            robust_objective(reg, beta, cfg)
         with pytest.raises(ValueError, match="robust_gradient requires a finite beta"):
             robust_gradient(reg, beta, cfg)

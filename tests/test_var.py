@@ -17,14 +17,14 @@ from robustvar import (
     companion_matrix,
     estimation_error,
     fit_var,
-    gradient_lipschitz_bound,
+    mallows_weights,
     read_var_model_csv,
     robust_gradient,
     spectral_radius,
     theory_lambda,
     write_var_model_csv,
 )
-from robustvar.optimizer import init_columns, proximal_gradient_fit_columns
+from robustvar.optimizer import _lipschitz_bound, init_columns, proximal_gradient_fit_columns
 from robustvar.penalties import prox
 from robustvar.var import _lagged_design
 
@@ -325,7 +325,8 @@ class TestFitVar:
         data = rng.standard_t(3, (60, 4))
         cfg = RobustConfig(tau=1.0, b=3.0)
         # the bound depends on the shared lag-1 design only
-        step = 1.0 / gradient_lipschitz_bound(Regression(data[1:, 0], data[:-1]), cfg)
+        x = data[:-1]
+        step = 1.0 / _lipschitz_bound(x, mallows_weights(x, cfg))
         fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=OptimizerConfig(seed=4))
         est, results = fit_var(data, 1, fit)
         est2, results2 = fit_var(data, 1, replace(fit, opt=OptimizerConfig(step=step, seed=4)))
@@ -396,6 +397,18 @@ class TestModelCsv:
         assert back.p == 3 and back.d == 2
         for a, b in zip(model.coeffs, back.coeffs):
             np.testing.assert_array_equal(a, b)
+
+    def test_signed_zero_reads_back_equal(self, tmp_path):
+        # -0.0 is written as 0 and reads back as +0.0, which equals it
+        model = VarModel((np.array([[-0.0, 0.5], [0.0, -0.25]]), np.full((2, 2), -0.0)))
+        path = tmp_path / "model.csv"
+        write_var_model_csv(model, path)
+        cells = [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+        assert cells == ["0", "0", "0", "0", "0.5", "-0.25", "0", "0"]
+        back = read_var_model_csv(path)
+        np.testing.assert_array_equal(back.stacked(), model.stacked())
+        assert not np.signbit(back.stacked()[model.stacked() == 0]).any()
+        assert np.signbit(model.coeffs[1]).all()  # the writer leaves its input as it was
 
     def test_header_format(self, tmp_path):
         model = VarModel((np.eye(2) * 0.5,))
