@@ -3,9 +3,11 @@
 The deviation check compares the dual norm of the loss gradient at the true
 parameter against half the tuning value; the curvature check probes the
 Taylor remainder of the loss along random sparse directions and reports the
-smallest remainder-to-squared-norm ratio observed.  The probes are evaluated
-in blocks through one objective call each, which gives the same values, bit
-for bit, as evaluating them one at a time.  Both work on a
+smallest remainder-to-squared-norm ratio observed.  Each remainder is summed
+term by term as Huber Bregman divergences of the weighted residuals, each
+nonnegative in floating point, so the check never subtracts two losses; the
+probes are scored in blocks, each value equal, bit for bit, to scoring its
+direction alone.  Both work on a
 ``Regression`` with known truth; the replicated run over the benchmark
 generator, ``experiments.run_deviation_experiment``, passes its lagged design
 to ``diagnostics_replication``, which weights it and takes the gradient at
@@ -37,7 +39,7 @@ __all__ = [
     "write_reports_csv",
 ]
 
-# Probes evaluated per objective call: an (n, k) residual block per call keeps
+# Probes scored per kernel call: a (k, n) residual block per call keeps
 # memory flat in the number of directions.
 _PROBE_BLOCK = 64
 
@@ -80,6 +82,30 @@ def deviation_check(
     return stat, stat <= lam / 2.0
 
 
+def _huber_bregman_sums(
+    xw: np.ndarray, a: np.ndarray, w: np.ndarray, tau: float, block: np.ndarray
+) -> np.ndarray:
+    """Weighted sums (k,) of Huber Bregman divergences, one per row v of ``block``
+    (k, q): sum_i w_i * D(b_i, a_i) with b = a - xw @ v, the weighted residuals
+    (n,) at the truth ``a`` moved by the step v on the weighted design ``xw``
+    (n, q); inputs are not validated.
+
+    D(b, a) = h(b) - h(a) - psi(a) (b - a), for the Huber loss h and its
+    derivative psi = clip(., -tau, tau), is t * (t/2 + (b - c)) with c = psi(b)
+    and t = c - psi(a); the two factors share a sign, so every term, and every
+    sum, is exactly >= 0.  Each row is its own matrix-vector product and its
+    own pairwise sum over the contiguous axis, bit-equal to scoring v alone.
+    """
+    b = np.subtract(a, np.matmul(xw, block[:, :, None])[:, :, 0])
+    c = np.clip(b, -tau, tau)
+    b -= c  # the part of b past the cut-off
+    c -= np.clip(a, -tau, tau)  # t
+    b += c * 0.5
+    b *= c
+    b *= w
+    return np.add.reduce(b, axis=1)
+
+
 def _re_probe(
     x: np.ndarray,
     y: np.ndarray,
@@ -91,19 +117,19 @@ def _re_probe(
     seed: int,
 ) -> tuple[float, np.ndarray]:
     """Smallest remainder ratio and its direction at ``truth``, the
-    (beta_star, weights, gradient) of :func:`_at_truth`; radius None is
-    tau / (2 * b_max).  A non-finite loss at the truth raises."""
+    (beta_star, weights, gradient) of :func:`_at_truth`, whose gradient the
+    divergences do not need; radius None is tau / (2 * b_max).  A non-finite
+    loss at the truth raises."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     _check_int("n_directions", n_directions, 1)
     _check_int("sparsity_s", sparsity_s, 1)
-    beta_star, w, grad = truth
+    beta_star, w, _ = truth
     q = x.shape[1]
     s = min(sparsity_s, q)
-    base = float(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0])
-    if not math.isfinite(base):
+    if not math.isfinite(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0]):
         raise ValueError("the loss at beta_star is not finite")
     rng = np.random.default_rng(seed)
     probes = []
@@ -119,15 +145,16 @@ def _re_probe(
         # probe both u and -u
         probes += (u, -u)
     directions = np.array(probes).reshape(-1, q)
+    xw = x * w[:, None]
+    resid = w * (y - x @ beta_star)
+    scale = x.shape[0] * radius * radius
     best, best_dir = np.inf, np.zeros(q)
     for start in range(0, len(directions), _PROBE_BLOCK):
         block = directions[start : start + _PROBE_BLOCK]
-        values = robust_objective_columns(x, y, beta_star + block, w, cfg.tau)
-        for v, value in zip(block, values):
-            ratio = (value - base - grad @ v) / (radius * radius)
-            if ratio < best:
-                best = ratio
-                best_dir = v.copy()
+        ratios = _huber_bregman_sums(xw, resid, w, cfg.tau, block) / scale
+        i = int(np.argmin(ratios))
+        if ratios[i] < best:
+            best, best_dir = ratios[i], block[i].copy()
     return float(best), best_dir
 
 
@@ -145,8 +172,9 @@ def re_check(
     Directions are random s-sparse unit vectors scaled to ``radius``
     (default tau / (2 * b_max), the local ball the error analysis works in;
     an ``s`` above the dimension q is taken as q); each direction is probed
-    with both signs.  The result is nonnegative up to roundoff because the
-    loss is convex.
+    with both signs.  Each remainder is a sum of Huber Bregman divergences,
+    each computed nonnegative, so the result is exactly >= 0, as convexity of
+    the loss says it is.
     """
     truth = _at_truth(reg.x, reg.y, beta_star, cfg)
     return _re_probe(reg.x, reg.y, truth, cfg, radius, n_directions, sparsity_s, seed)[0]

@@ -1,6 +1,7 @@
 """Tests for the deviation and curvature condition diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from robustvar import (
 )
 from robustvar import diagnostics, losses
 from robustvar._seeds import derive_seed
-from robustvar.diagnostics import _at_truth, _re_probe, diagnostics_replication, write_reports_csv
+from robustvar.diagnostics import (
+    _at_truth,
+    _huber_bregman_sums,
+    _re_probe,
+    diagnostics_replication,
+    write_reports_csv,
+)
 from robustvar.experiments import run_deviation_experiment
 from robustvar.losses import _huber, robust_gradient_columns, robust_objective_columns
 
@@ -68,16 +75,45 @@ def probe_directions(q, s, radius, n_directions, seed):
 
 
 def one_at_a_time_probe(reg, beta, cfg, radius, n_directions, s, seed):
-    """The curvature probe with one objective evaluation per direction."""
+    """The curvature probe scoring one direction at a time: each remainder is
+    the weighted sum of the Huber Bregman divergences h(b) - h(a) - psi(a)(b - a)
+    of the weighted residuals a at the truth and b at the probe, written
+    t * (t/2 + (b - c)) with c = clip(b) and t = c - clip(a)."""
     w = mallows_weights(reg.x, cfg)
-    base = one_point_objective(reg, beta, cfg, w)
-    grad = robust_gradient(reg, beta, cfg, weights=w)
+    xw = reg.x * w[:, None]
+    a = w * (reg.y - reg.x @ beta)
+    clip_a = np.clip(a, -cfg.tau, cfg.tau)
     best, best_dir = np.inf, np.zeros(reg.q)
     for v in probe_directions(reg.q, s, radius, n_directions, seed):
-        ratio = (one_point_objective(reg, beta + v, cfg, w) - base - grad @ v) / (radius * radius)
+        b = a - xw @ v
+        c = np.clip(b, -cfg.tau, cfg.tau)
+        t = c - clip_a
+        ratio = np.sum(w * (t * (t / 2 + (b - c)))) / (reg.n * radius * radius)
         if ratio < best:
             best, best_dir = ratio, v.copy()
     return best, best_dir
+
+
+def fsum_difference_probe(reg, beta, cfg, radius, n_directions, s, seed):
+    """The curvature probe with each remainder taken as the difference
+    L(beta + v) - L(beta) - grad' v of two ``math.fsum`` losses."""
+    w = mallows_weights(reg.x, cfg)
+    base = one_point_objective(reg, beta, cfg, w)
+    grad = robust_gradient(reg, beta, cfg)
+    return min(
+        (one_point_objective(reg, beta + v, cfg, w) - base - grad @ v) / (radius * radius)
+        for v in probe_directions(reg.q, s, radius, n_directions, seed)
+    )
+
+
+def exact_huber_divergence(b, a, tau):
+    """h(b) - h(a) - psi(a)(b - a) in rational arithmetic, for floats b, a, tau."""
+    b, a, tau = Fraction(b), Fraction(a), Fraction(tau)
+
+    def h(u):
+        return u * u / 2 if abs(u) <= tau else tau * abs(u) - tau * tau / 2
+
+    return h(b) - h(a) - max(-tau, min(tau, a)) * (b - a)
 
 
 def heavy_tailed_regression(q, n, seed):
@@ -169,7 +205,7 @@ class TestReCheck:
             reg = Regression(y, x)
             cfg = RobustConfig(tau=float(rng.uniform(0.5, 3)), b=float(rng.uniform(1, 5)))
             val = re_check(reg, np.zeros(q), cfg, n_directions=5, sparsity_s=2, seed=k)
-            assert val >= -1e-12
+            assert val >= 0.0
 
     def test_sign_asymmetry_outside_quadratic_regime(self):
         # a residual pattern straddling the cut-off makes +u and -u curvatures
@@ -219,22 +255,64 @@ class TestBlockedProbe:
         assert got == want
         np.testing.assert_array_equal(direction, want_dir)
 
-    def test_every_probe_evaluated_once_in_blocks(self, monkeypatch):
-        evaluated = []
+    @pytest.mark.parametrize("q", [3, 10, 20])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_agrees_with_fsum_difference(self, q, s):
+        reg, beta = heavy_tailed_regression(q, 120, seed=10 * q + s)
+        cfg = RobustConfig(tau=0.8, b=2.0)
+        got, _ = probe(reg, beta, cfg, 0.7, 150, s, seed=q + s)
+        assert got == pytest.approx(fsum_difference_probe(reg, beta, cfg, 0.7, 150, s, seed=q + s), rel=1e-12)
 
-        def record(x, y, betas, w, tau):
-            evaluated.append(betas.copy())
+    def test_every_probe_evaluated_once_in_blocks(self, monkeypatch):
+        objective, scored = [], []
+
+        def record_objective(x, y, betas, w, tau):
+            objective.append(betas.copy())
             return robust_objective_columns(x, y, betas, w, tau)
 
-        monkeypatch.setattr(diagnostics, "robust_objective_columns", record)
+        def record_block(xw, a, w, tau, block):
+            scored.append(block.copy())
+            return _huber_bregman_sums(xw, a, w, tau, block)
+
+        monkeypatch.setattr(diagnostics, "robust_objective_columns", record_objective)
+        monkeypatch.setattr(diagnostics, "_huber_bregman_sums", record_block)
         reg, beta = heavy_tailed_regression(6, 50, seed=15)
         probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 150, 2, seed=3)
-        # the loss at the truth alone comes first, then the probes in blocks
-        truth, *blocks = evaluated
+        # the loss at the truth alone, once; then the probes in blocks
+        (truth,) = objective
         np.testing.assert_array_equal(truth, [beta])
-        assert [len(b) for b in blocks] == [64] * 4 + [44]
-        want = [beta + v for v in probe_directions(6, 2, 0.5, 150, seed=3)]
-        np.testing.assert_array_equal(np.vstack(blocks), want)
+        assert [len(b) for b in scored] == [64] * 4 + [44]
+        np.testing.assert_array_equal(np.vstack(scored), list(probe_directions(6, 2, 0.5, 150, seed=3)))
+
+    @pytest.mark.parametrize("tau", [1.0, 1e-100, 1e100])
+    @pytest.mark.parametrize("weight", [1.0, 0.37])
+    def test_divergence_terms_nonnegative_across_the_cut_off(self, tau, weight):
+        # one residual per probe, so each sum is one term w * D(b, a) with
+        # b = a - step: inside, outside and across +-tau, on both sides,
+        # with tiny steps and steps that cross zero
+        scaled = [
+            (0.3, 0.5), (0.3, -0.9), (3.0, 5.5), (-3.0, -5.5), (3.0, 0.5), (3.0, 2.5),
+            (0.9, 1.8), (1.0, 2.0), (-1.0, 1e-17), (2.0, 1e-17), (0.5, 1e-17),
+            (1e-200, -1e-200), (1e-200, 3e-200), (0.0, 5e-324), (1e10, 3e10), (-1e10, 1e-5),
+        ]
+        for a, step in scaled:
+            a, step = a * tau, step * tau
+            terms = _huber_bregman_sums(
+                np.ones((1, 1)), np.array([a]), np.array([weight]), tau, np.array([[step], [-step], [0.0]])
+            )
+            assert np.all(terms >= 0.0), (a, step, terms)
+            assert terms[2] == 0.0  # b = a exactly
+            for value, b in zip(terms[:2], (a - step, a + step)):
+                exact = float(Fraction(weight) * exact_huber_divergence(b, a, tau))
+                assert value == pytest.approx(exact, rel=1e-14, abs=1e-300), (a, b)
+
+    def test_remainder_nonnegative_where_the_fsum_difference_is_not(self):
+        # a radius so small that the remainder is far below the roundoff of
+        # a loss near 1: the difference of two losses reads sign noise
+        reg, beta = heavy_tailed_regression(5, 200, seed=20)
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        assert probe(reg, beta, cfg, 1e-9, 50, 2, seed=21)[0] >= 0.0
+        assert fsum_difference_probe(reg, beta, cfg, 1e-9, 50, 2, seed=21) < 0.0
 
     def test_one_row_objective_equals_one_point_objective(self):
         reg, _ = heavy_tailed_regression(7, 90, seed=14)
