@@ -1,13 +1,14 @@
 """The one table format of every CSV the package writes or reads: UTF-8, LF
 endings, a header line, comma cells, floats at 17 significant digits (exact
-round trip), booleans as ``true``/``false``.  Imports nothing from the package."""
+round trip, but for the sign of a zero: every zero is written ``0``), booleans
+as ``true``/``false``.  Imports nothing from the package."""
 
 
 def format_cell(kind: type, value) -> str:
     if kind is bool:
         return "true" if value else "false"
-    if kind is float:
-        return format(float(value), ".17g")
+    if kind is float:  # -0.0 + 0.0 is 0.0, so a zero is written 0, never -0
+        return format(float(value) + 0.0, ".17g")
     return str(kind(value))
 
 

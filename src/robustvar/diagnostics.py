@@ -10,8 +10,8 @@ probes are scored in blocks, each value equal, bit for bit, to scoring its
 direction alone.  Both work on a
 ``Regression`` with known truth; the replicated run over the benchmark
 generator, ``experiments.run_deviation_experiment``, passes its lagged design
-to ``diagnostics_replication``, which weights it and takes the gradient at
-the truth once for both checks.
+to ``diagnostics_replication``, which checks the truth and weights the design
+once for both checks.
 """
 
 from __future__ import annotations
@@ -56,18 +56,15 @@ class DiagnosticsReport:
     min_direction: np.ndarray | None
 
 
-def _at_truth(
-    x: np.ndarray, y: np.ndarray, beta_star, cfg: RobustConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _at_truth(x: np.ndarray, beta_star, cfg: RobustConfig) -> tuple[np.ndarray, np.ndarray]:
     """The truth as float64, checked once where it enters (shape (q,), finite),
-    then the Mallows weights of ``x`` and the loss gradient (q,) at the truth."""
+    and the Mallows weights of ``x``."""
     beta_star = np.asarray(beta_star, dtype=np.float64)
     if beta_star.shape != (x.shape[1],):
         raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({x.shape[1]},)")
     if not np.isfinite(beta_star).all():
         raise ValueError("beta_star must be finite")
-    w = mallows_weights(x, cfg)
-    return beta_star, w, robust_gradient_columns(x, y[:, None], beta_star[:, None], w, cfg.tau)[:, 0]
+    return beta_star, mallows_weights(x, cfg)
 
 
 def deviation_check(
@@ -78,7 +75,9 @@ def deviation_check(
     lam: float,
 ) -> tuple[float, bool]:
     """Dual norm of the gradient at the truth, and whether it is at most lam/2."""
-    stat = dual_value(pen, _at_truth(reg.x, reg.y, beta_star, cfg)[2])
+    beta_star, w = _at_truth(reg.x, beta_star, cfg)
+    grad = robust_gradient_columns(reg.x, reg.y[:, None], beta_star[:, None], w, cfg.tau)
+    stat = dual_value(pen, grad[:, 0])
     return stat, stat <= lam / 2.0
 
 
@@ -109,7 +108,7 @@ def _huber_bregman_sums(
 def _re_probe(
     x: np.ndarray,
     y: np.ndarray,
-    truth: tuple[np.ndarray, np.ndarray, np.ndarray],
+    truth: tuple[np.ndarray, np.ndarray],
     cfg: RobustConfig,
     radius: float | None,
     n_directions: int,
@@ -117,16 +116,15 @@ def _re_probe(
     seed: int,
 ) -> tuple[float, np.ndarray]:
     """Smallest remainder ratio and its direction at ``truth``, the
-    (beta_star, weights, gradient) of :func:`_at_truth`, whose gradient the
-    divergences do not need; radius None is tau / (2 * b_max).  A non-finite
-    loss at the truth raises."""
+    (beta_star, weights) of :func:`_at_truth`; radius None is tau / (2 * b_max).
+    A non-finite loss at the truth raises."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     _check_int("n_directions", n_directions, 1)
     _check_int("sparsity_s", sparsity_s, 1)
-    beta_star, w, _ = truth
+    beta_star, w = truth
     q = x.shape[1]
     s = min(sparsity_s, q)
     if not math.isfinite(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0]):
@@ -176,7 +174,7 @@ def re_check(
     each computed nonnegative, so the result is exactly >= 0, as convexity of
     the loss says it is.
     """
-    truth = _at_truth(reg.x, reg.y, beta_star, cfg)
+    truth = _at_truth(reg.x, beta_star, cfg)
     return _re_probe(reg.x, reg.y, truth, cfg, radius, n_directions, sparsity_s, seed)[0]
 
 
@@ -192,14 +190,15 @@ def diagnostics_replication(
     include_re: bool = True,
 ) -> DiagnosticsReport:
     """Both condition diagnostics for the regression of ``y`` (n,) on ``x``
-    (n, q), both finite float64, with known truth; the weights and the
-    gradient at the truth are computed once and feed both checks."""
-    truth = _at_truth(x, y, beta_star, cfg)
-    stat = dual_value(pen, truth[2])
+    (n, q), both finite float64, with known truth; the truth is checked and
+    the weights computed once for both checks."""
+    beta_star, w = _at_truth(x, beta_star, cfg)
+    grad = robust_gradient_columns(x, y[:, None], beta_star[:, None], w, cfg.tau)
+    stat = dual_value(pen, grad[:, 0])
     re_hat, min_dir, n_dirs = np.nan, None, 0
     if include_re:
-        s = max(1, int(np.count_nonzero(truth[0])))
-        re_hat, min_dir = _re_probe(x, y, truth, cfg, None, n_directions, s, seed)
+        s = max(1, int(np.count_nonzero(beta_star)))
+        re_hat, min_dir = _re_probe(x, y, (beta_star, w), cfg, None, n_directions, s, seed)
         n_dirs = n_directions
     return DiagnosticsReport(stat, lam / 2.0, stat <= lam / 2.0, re_hat, n_dirs, min_dir)
 

@@ -3,7 +3,8 @@ robustification level over replicated sparse-VAR fits, with CSV output.
 
 A grid cell fixes the data-generating parameters (degrees of freedom, sample
 size); every robustification level in ``tau_grid`` is fit on the same
-simulated path of that cell, so comparisons across levels are paired.
+simulated path of that cell, all levels in one solver call, so comparisons
+across levels are paired.
 Per-cell, per-replication seeds are derived deterministically from the spec
 seed, which makes the emitted CSV byte-identical for any worker count.
 
@@ -29,14 +30,14 @@ from ._checks import _check_int
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
-from .losses import RobustConfig, mallows_weights
-from .optimizer import OptimizerConfig, _lipschitz_bound, init_columns
+from .losses import RobustConfig
+from .optimizer import OptimizerConfig, init_columns, proximal_gradient_fit_columns
 from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
 )
 from .simulate import _check_er_settings
-from .var import FitConfig, VarModel, estimation_error, fit_var
+from .var import FitConfig, VarModel, estimation_error
 
 __all__ = [
     "CALIBRATED_C",
@@ -145,22 +146,19 @@ class ExperimentSpec:
                          self.density, self.rho_target)
         _check_int("seed", self.seed)
         for tau in self.tau_grid:
-            self.fit_config(tau, 0)
+            self.fit_config(tau)
         for df in self.df_grid:
             StudentTNoise(df)
 
-    def fit_config(self, tau: float, seed: int) -> FitConfig:
-        """Settings of the l1 fits at robustification level ``tau``, whose
-        solver starts from points seeded by ``seed``."""
+    def fit_config(self, tau: float) -> FitConfig:
+        """Settings of the l1 fits at robustification level ``tau``."""
         return FitConfig(
             robust=RobustConfig(tau=tau, b=self.b),
             penalty=Penalty("l1"),
             lambda_mode=self.lambda_mode,
             lam=self.lam,
             c=self.c,
-            opt=OptimizerConfig(
-                step=self.step, tol=self.tol, max_iter=self.max_iter, seed=seed,
-            ),
+            opt=OptimizerConfig(step=self.step, tol=self.tol, max_iter=self.max_iter),
         )
 
 
@@ -218,9 +216,11 @@ def case3(p: int = 10, seed: int = 0, replications: int = 20) -> ExperimentSpec:
 
 def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_seed: int,
                   dgp: VarTDgp, data: np.ndarray | SimulationError) -> list[dict]:
-    """All rows for one (grid cell, replication): one row per tau level, each
-    fit from the same seeded start.  ``data`` is the attempt-0 path or its
-    error; a non-finite path is retried alone, on the next substreams."""
+    """All rows for one (grid cell, replication): one row per tau level.  The
+    levels share the path's lag-1 design, so they are fitted in one tau-major
+    call of len(tau_grid) * p columns, each level from the same seeded start.
+    ``data`` is the attempt-0 path or its error; a non-finite path is retried
+    alone, on the next substreams."""
     cell_index, df, n, rep = task
     attempt = 0
     while isinstance(data, SimulationError):
@@ -233,35 +233,29 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
             data = simulate(dgp, n, spec.burn_in, derive_seed(rep_seed, 1, attempt))
         except SimulationError as exc:
             data = exc
-    if data is not None and spec.step is not None:
-        # the bound depends on the lag-1 design and b, not on tau
-        x = data[:-1]
-        lip = _lipschitz_bound(x, mallows_weights(x, RobustConfig(tau=1.0, b=spec.b)))
-        if spec.step * lip > 2.0:
-            log.warning(
-                "cell %d rep %d: step %.3g exceeds 2/L = %.3g, so descent is not guaranteed",
-                cell_index, rep, spec.step, 2.0 / lip,
-            )
-    fit_seed = derive_seed(rep_seed, 2)
-    start = None if data is None else init_columns(spec.p, spec.p, fit_seed)
-    rows = []
-    for tau in spec.tau_grid:
-        fit = spec.fit_config(tau, fit_seed)
-        row = {
-            "case": spec.case, "p": spec.p, "n": n, "d": 1, "df": df, "tau": tau,
-            "lambda": fit.lambda_for(spec.p, 1, n - 1), "rep": rep, "seed": rep_seed,
-        }
-        if data is None:
+    p, levels = spec.p, len(spec.tau_grid)
+    fits = [spec.fit_config(tau) for tau in spec.tau_grid]
+    lams = [fit.lambda_for(p, 1, n - 1) for fit in fits]
+    rows = [{"case": spec.case, "p": p, "n": n, "d": 1, "df": df, "tau": tau, "lambda": lam,
+             "rep": rep, "seed": rep_seed} for tau, lam in zip(spec.tau_grid, lams)]
+    if data is None:
+        for row in rows:
             row.update(error=math.nan, iterations=0, converged=False)
-            rows.append(row)
-            continue
-        est, results = fit_var(data, 1, fit, start)
+        return rows
+    # the path was checked finite where it was drawn
+    start = np.tile(init_columns(p, p, derive_seed(rep_seed, 2)), levels)
+    results = proximal_gradient_fit_columns(
+        data[:-1], np.tile(data[1:], levels), fits[0].robust, fits[0].penalty,
+        np.repeat(lams, p), fits[0].opt, start, tau=np.repeat(spec.tau_grid, p),
+    )
+    for row, i in zip(rows, range(0, levels * p, p)):
+        level = results[i:i + p]
+        est = VarModel((np.column_stack([r.beta_hat for r in level]),))
         row.update(
             error=estimation_error(est, dgp.model),
-            iterations=max(r.iterations for r in results),
-            converged=all(r.converged for r in results),
+            iterations=max(r.iterations for r in level),
+            converged=all(r.converged for r in level),
         )
-        rows.append(row)
     return rows
 
 

@@ -141,12 +141,7 @@ def robust_objective_columns(
     return np.array([math.fsum(row) for row in terms.tolist()]) / x.shape[0]
 
 
-def robust_gradient(
-    reg: Regression,
-    beta: np.ndarray,
-    cfg: RobustConfig,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
+def robust_gradient(reg: Regression, beta: np.ndarray, cfg: RobustConfig) -> np.ndarray:
     """Gradient of the weighted robust loss of ``reg`` at ``beta``.
 
     Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i, the one-column case
@@ -157,7 +152,7 @@ def robust_gradient(
         raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
     if not np.all(np.isfinite(beta)):  # the kernel would clip its residual to a finite value
         raise ValueError("robust_gradient requires a finite beta")
-    w = mallows_weights(reg.x, cfg) if weights is None else weights
+    w = mallows_weights(reg.x, cfg)
     return robust_gradient_columns(reg.x, reg.y[:, None], beta[:, None], w, cfg.tau)[:, 0]
 
 

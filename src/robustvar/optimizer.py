@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ __all__ = [
     "init_columns",
     "proximal_gradient_fit_columns",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
@@ -87,14 +90,30 @@ def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
 
 
+def _per_column(name: str, value, k: int) -> float | np.ndarray:
+    """A scalar ``value`` as a float (numpy broadcasts a scalar faster than an
+    array), else as a (k,) float64 array, one entry per column."""
+    if np.ndim(value) == 0:
+        return float(value)
+    if np.shape(value) != (k,):
+        raise ValueError(f"{name} must be a scalar or have shape ({k},), got {np.shape(value)}")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _take(value: float | np.ndarray, index: np.ndarray) -> float | np.ndarray:
+    """The entries of a per-column ``value`` at ``index``; a scalar stays a scalar."""
+    return value[index] if isinstance(value, np.ndarray) else value
+
+
 def proximal_gradient_fit_columns(
     x: np.ndarray,
     y: np.ndarray,
     cfg: RobustConfig,
     pen: Penalty,
-    lam: float,
+    lam: float | np.ndarray,
     opt: OptimizerConfig,
     start: np.ndarray | None = None,
+    tau: float | np.ndarray | None = None,
 ) -> list[FitResult]:
     """Fit the k regressions of ``y`` (n, k) on the shared design ``x`` (n, q),
     both finite float64, together: one proximal gradient step (threshold
@@ -104,12 +123,21 @@ def proximal_gradient_fit_columns(
     ``init_columns(q, k, opt.seed)``, and stops on its own once its iterates
     move by at most ``opt.tol`` or after ``opt.max_iter`` updates.
 
-    A column whose ``lambda_max`` is at most ``lam`` has zero as its exact
+    ``lam`` and the Huber cut-off ``tau`` (by default ``cfg.tau``) are each one
+    value for all columns or a (k,) array, one per column; the Mallows weights,
+    L and the weighted design depend on neither, so they are built once.  An
+    explicit step beyond 2/L logs a warning: descent is then not guaranteed.
+
+    A column whose ``lambda_max`` is at most its ``lam`` has zero as its exact
     minimiser (the KKT conditions of a convex loss and a norm penalty), so it
     is returned as exact zero with 0 iterations and never enters the loop."""
-    if not lam >= 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     q, k = x.shape[1], y.shape[1]
+    lam = _per_column("lambda", lam, k)
+    if not np.all(lam >= 0):
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    tau = cfg.tau if tau is None else _per_column("tau", tau, k)
+    if not np.all(np.isfinite(tau) & (tau > 0)):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if start is None:
         start = init_columns(q, k, opt.seed)
     else:
@@ -117,22 +145,25 @@ def proximal_gradient_fit_columns(
         if start.shape != (q, k) or not np.all(np.isfinite(start)):
             raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {start.shape}")
     w = mallows_weights(x, cfg)
+    lip = _lipschitz_bound(x, w)
     if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1
-        lip = _lipschitz_bound(x, w)
         step = 1.0 / lip if lip > 0 else 1.0
+    elif step * lip > 2.0:
+        log.warning("step %.3g exceeds 2/L = %.3g, so descent is not guaranteed", step, 2.0 / lip)
     a, wy, back = _weighted_design(x, y, w)  # built once: the weights never depend on beta
     # dual_value also checks that the groups partition the q coordinates
-    lambda_max = dual_value(pen, _weighted_gradient(a, wy, back, None, cfg.tau))
+    lambda_max = dual_value(pen, _weighted_gradient(a, wy, back, None, tau))
+    zero = lambda_max <= lam
     results: list = [
-        FitResult(np.zeros(q), 0, 0.0, True, step, float(lmax)) if lmax <= lam else None
-        for lmax in lambda_max
+        FitResult(np.zeros(q), 0, 0.0, True, step, float(lmax)) if z else None
+        for z, lmax in zip(zero, lambda_max)
     ]
-    cols = np.flatnonzero(lambda_max > lam)  # index of each running column in the input
-    beta, wy = start[:, cols], wy[:, cols]
+    cols = np.flatnonzero(~zero)  # index of each running column in the input
+    beta, wy, lam, tau = start[:, cols], wy[:, cols], _take(lam, cols), _take(tau, cols)
     it = 0
     while cols.size:
         it += 1
-        g = _weighted_gradient(a, wy, back, beta, cfg.tau)
+        g = _weighted_gradient(a, wy, back, beta, tau)
         stepped = np.subtract(beta, np.multiply(g, step, out=g), out=g)
         # unvalidated prox; a column has a non-finite change exactly when it diverged
         beta_new = prox(pen, stepped, lam * step)
@@ -149,5 +180,7 @@ def proximal_gradient_fit_columns(
                     beta[:, i].copy(), it, float(change[i]), bool(change[i] <= opt.tol), step,
                     float(lambda_max[cols[i]]),
                 )
-            cols, beta, wy = cols[~done], beta[:, ~done], wy[:, ~done]
+            keep = ~done
+            cols, beta, wy = cols[keep], beta[:, keep], wy[:, keep]
+            lam, tau = _take(lam, keep), _take(tau, keep)
     return results

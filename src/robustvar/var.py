@@ -184,8 +184,8 @@ def write_var_model_csv(model: VarModel, path) -> None:
     """Write a model as CSV: header ``# varmodel p=<p> d=<d>`` then the p x (p*d)
     matrix [B_1', ..., B_d'] row-major at full double precision.  A zero is
     written ``0``, never ``-0``, whatever its sign (the l1 prox returns -0.0
-    for a thresholded negative)."""
-    wide = np.hstack([c.T for c in model.coeffs]) + 0.0  # -0.0 + 0.0 is 0.0
+    for a thresholded negative), as in every table the package writes."""
+    wide = np.hstack([c.T for c in model.coeffs])
     write_table(path, [f"# varmodel p={model.p} d={model.d}"],
                 (float,) * wide.shape[1], wide.tolist())
 

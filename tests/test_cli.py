@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import logging
 import runpy
 import warnings
 
@@ -140,6 +141,18 @@ class TestFitCommand:
         assert run([*common, "--step", "0.9"]) == 0
         prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
         assert prov["step"] == prov["step_used"] == 0.9
+
+    def test_step_beyond_curvature_warns_once(self, tmp_path, caplog):
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--p", "3", "--df", "3", "--n", "40",
+                    "--burn-in", "50", "--seed", "6", "--out", str(data)]) == 0
+        x = read_series_csv(data)[:-1]
+        lip = _lipschitz_bound(x, mallows_weights(x, RobustConfig(tau=1.0, b=3.0)))
+        with caplog.at_level(logging.INFO):
+            assert run(["fit", "--input", str(data), "--tau", "1", "--step", repr(3.0 / lip),
+                        "--max-iter", "5", "--out", str(tmp_path / "bhat.csv")]) == 0
+        warned = [r for r in caplog.records if "exceeds 2/L" in r.getMessage()]
+        assert [(r.name, r.levelno) for r in warned] == [("robustvar.optimizer", logging.WARNING)]
 
     def test_lag2_output_width(self, tmp_path):
         data = tmp_path / "d.csv"

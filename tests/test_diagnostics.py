@@ -56,9 +56,9 @@ def one_point_objective(reg, beta, cfg, w):
 
 
 def probe(reg, beta, cfg, radius, n_directions, s, seed):
-    """The blocked curvature probe at the truth ``beta``, with the weights and
-    gradient that the checks compute once before it."""
-    truth = _at_truth(reg.x, reg.y, beta, cfg)
+    """The blocked curvature probe at the truth ``beta``, with the checked truth
+    and the weights that the checks compute once before it."""
+    truth = _at_truth(reg.x, beta, cfg)
     return _re_probe(reg.x, reg.y, truth, cfg, radius, n_directions, s, seed)
 
 
@@ -437,6 +437,15 @@ class TestReplicationDriver:
         assert rep.re_directions == 10 and math.isfinite(rep.re_hat)
         assert calls == {"weights": 1, "gradient": 1}
 
+    def test_curvature_check_takes_no_gradient(self, monkeypatch):
+        # the Bregman probe never reads the gradient at the truth
+        def gradient(*a):
+            raise AssertionError("gradient at the truth computed")
+
+        monkeypatch.setattr(diagnostics, "robust_gradient_columns", gradient)
+        reg, beta = heavy_tailed_regression(5, 40, seed=20)
+        assert re_check(reg, beta, RobustConfig(tau=1.0, b=3.0), n_directions=10) >= 0.0
+
     def test_experiment_deterministic(self):
         a = run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)
         b = run_deviation_experiment(5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=1)
@@ -481,3 +490,16 @@ class TestReplicationDriver:
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("rep,deviation_stat,lambda_half,deviation_pass")
+
+    def test_reports_csv_writes_zeros_of_a_negated_probe_as_0(self, tmp_path):
+        reports = run_deviation_experiment(
+            5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=2, include_re=True,
+            n_directions=5,
+        )
+        direction = reports[2].min_direction
+        # the minimising probe is some -u, so its four zeros are -0.0
+        assert np.signbit(direction[direction == 0]).tolist() == [True] * 4
+        path = tmp_path / "diag.csv"
+        write_reports_csv(reports, path)
+        cells = path.read_text().splitlines()[3].split(",")[-1].split(" ")
+        assert cells == ["0", "0", "0.16666666666666666", "0", "0"]

@@ -1,5 +1,6 @@
 """Tests for the experiment harness, CSV schema, and SVG rendering."""
 
+import collections
 import dataclasses
 import json
 import logging
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import robustvar.experiments as exps
+from robustvar import optimizer
 from robustvar import (
     ExperimentSpec,
     StudentTNoise,
@@ -32,6 +34,7 @@ from robustvar import (
 )
 from robustvar._seeds import derive_seed
 from robustvar.experiments import spec_from_dict, spec_to_dict, write_provenance
+from robustvar.optimizer import init_columns
 from robustvar.simulate import SimulationError
 from robustvar.svgplot import emit_svg_lines
 
@@ -171,7 +174,8 @@ class TestRunExperiment:
             truth = VarModel((b,))
             data = simulate(VarTDgp(truth, StudentTNoise(row["df"])), row["n"], spec.burn_in,
                             derive_seed(row["seed"], 1, 0))
-            est, _ = fit_var(data, 1, spec.fit_config(row["tau"], derive_seed(row["seed"], 2)))
+            start = init_columns(5, 5, derive_seed(row["seed"], 2))
+            est, _ = fit_var(data, 1, spec.fit_config(row["tau"]), start)
             assert row["error"] == estimation_error(est, truth)
 
     def test_one_stacked_recursion_per_n_in_a_batch(self, monkeypatch):
@@ -294,15 +298,23 @@ class TestRunExperiment:
             run_experiment(tiny_spec(step=1e-3, max_iter=5))
         assert caplog.records == []
 
-    def test_default_step_skips_curvature_check(self, monkeypatch, caplog):
-        def boom(*a, **k):
-            raise AssertionError("curvature bound computed for the default step")
+    @pytest.mark.parametrize("step", [None, 1e-3])
+    def test_one_solver_call_per_replication(self, monkeypatch, step):
+        # every tau level shares one design check, weighting, curvature bound and step guard
+        counts = collections.Counter()
 
-        monkeypatch.setattr(exps, "_lipschitz_bound", boom)
-        with caplog.at_level(logging.INFO, logger="robustvar.experiments"):
-            rows = run_experiment(tiny_spec())
-        assert all(math.isfinite(r["error"]) for r in rows)
-        assert caplog.records == []
+        def count(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: counts.update([name]) or real(*a, **k))
+
+        count(exps, "proximal_gradient_fit_columns")
+        count(optimizer, "mallows_weights")
+        count(optimizer, "_lipschitz_bound")
+        rows = run_experiment(tiny_spec(replications=2, tau_grid=(1.0, 3.0, 10.0), step=step))
+        assert len(rows) == 6 and all(math.isfinite(r["error"]) for r in rows)
+        assert counts == {"proximal_gradient_fit_columns": 2, "mallows_weights": 2,
+                          "_lipschitz_bound": 2}
 
     def test_explicit_lambda_mode(self):
         rows = run_experiment(tiny_spec(lambda_mode="explicit", lam=0.25))

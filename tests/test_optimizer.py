@@ -382,3 +382,34 @@ class TestZeroScreen:
             assert (res.iterations == 0) == (res.lambda_max <= 0.3)
             if res.iterations == 0:
                 assert not res.beta_hat.any()
+
+
+class TestPerColumnSettings:
+    """tau and lambda given as one value per column of a k-column call."""
+
+    @PENALTIES
+    def test_each_column_fits_as_its_own_scalar_call(self, pen):
+        x, y, _ = TestZeroScreen.problem()
+        taus = np.array([0.5, 1.0, 2.0, 10.0, 1.0, 3.0])
+        lams = np.array([0.05, 0.1, 0.02, 0.2, 50.0, 0.08])  # column 4 is zero-optimal
+        start = init_columns(4, 6, 3)
+        cfg, opt = RobustConfig(tau=1.0, b=3.0), OptimizerConfig(tol=1e-8)
+        batch = proximal_gradient_fit_columns(x, y, cfg, pen, lams, opt, start, tau=taus)
+        assert {r.iterations == 0 for r in batch} == {True, False}
+        for j, res in enumerate(batch):
+            (one,) = proximal_gradient_fit_columns(
+                x, y[:, [j]], RobustConfig(tau=taus[j], b=3.0), pen, lams[j], opt, start[:, [j]])
+            assert res.iterations == one.iterations
+            # a k-column product rounds differently from a one-column one
+            np.testing.assert_allclose(res.beta_hat, one.beta_hat, rtol=0, atol=1e-13)
+            assert res.lambda_max == pytest.approx(one.lambda_max, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("lam, message", [
+        ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], "lambda must be nonnegative"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], "lambda must be nonnegative"),
+        ([0.1] * 5, r"lambda must be a scalar or have shape \(6,\), got \(5,\)"),
+    ], ids=["negative", "nan", "short"])
+    def test_bad_lambda_vector_rejected(self, lam, message):
+        x, y, cfg = TestZeroScreen.problem()
+        with pytest.raises(ValueError, match=message):
+            proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), lam, OptimizerConfig())

@@ -1,6 +1,6 @@
 """The exact text of every table the package writes, pinned on tiny inputs:
-UTF-8, LF endings, comma cells, floats at 17 significant digits (``nan``,
-``-0``; a model file writes every zero as ``0``), booleans as ``true``/``false``."""
+UTF-8, LF endings, comma cells, floats at 17 significant digits (``nan``;
+every zero, -0.0 too, as ``0``), booleans as ``true``/``false``."""
 
 import re
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from robustvar import VarModel, emit_csv, read_results_csv, write_series_csv, write_var_model_csv
+from robustvar._tables import format_cell
 from robustvar.diagnostics import DiagnosticsReport, write_reports_csv
 
 THIRD = 1.0 / 3.0
@@ -24,12 +25,12 @@ class TestExactBytes:
         data = np.array([[0.1, -0.0], [THIRD, 1e-300]])
         assert written(tmp_path, write_series_csv, data) == (
             "t,z1,z2\n"
-            "0,0.10000000000000001,-0\n"
+            "0,0.10000000000000001,0\n"
             "1,0.33333333333333331,1e-300\n"
         )
 
     def test_var_model(self, tmp_path):
-        # the -0.0 coefficient is written 0: the model writer drops the sign of a zero
+        # the -0.0 coefficient is written 0, as every zero of every table
         model = VarModel((np.array([[0.5, -0.0], [THIRD, 2.0]]),
                           np.array([[0.0, 1e-5], [-0.25, 0.7]])))
         assert written(tmp_path, write_var_model_csv, model) == (
@@ -50,7 +51,7 @@ class TestExactBytes:
         assert written(tmp_path, emit_csv, rows) == (
             "case,p,n,d,df,tau,lambda,rep,error,iterations,converged,seed\n"
             "case1_df_sweep,2,30,1,2.5,1,0.38040184433278057,0,nan,7,false,5156922822541503845\n"
-            "case1_df_sweep,2,30,1,3,10,0.33333333333333331,1,-0,2,true,12\n"
+            "case1_df_sweep,2,30,1,3,10,0.33333333333333331,1,0,2,true,12\n"
         )
 
     def test_diagnostics(self, tmp_path):
@@ -60,9 +61,19 @@ class TestExactBytes:
         ]
         assert written(tmp_path, write_reports_csv, reports) == (
             "rep,deviation_stat,lambda_half,deviation_pass,re_hat,re_directions,min_direction\n"
-            "0,0.20000000000000001,0.25,true,0.33333333333333331,10,-0 0.10000000000000001 0\n"
+            "0,0.20000000000000001,0.25,true,0.33333333333333331,10,0 0.10000000000000001 0\n"
             "1,0.33333333333333331,0.19645545214236859,false,nan,0,\n"
         )
+
+
+class TestZeroCells:
+    @pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), 0.0, 0])
+    def test_every_float_zero_is_written_0(self, zero):
+        assert format_cell(float, zero) == "0"
+
+    def test_other_values_keep_their_sign(self):
+        assert [format_cell(float, v) for v in (-1e-300, -THIRD, float("-inf"))] == [
+            "-1e-300", "-0.33333333333333331", "-inf"]
 
 
 class TestBooleanCells:
