@@ -1,9 +1,9 @@
 """Deterministic 64-bit seed derivation for the (cell, replication, retry) streams.
 
 All randomness in the package flows through ``numpy.random.default_rng``
-seeded with integers produced here or given by the caller (a fit's start draws
-all its columns from one generator), so results are independent of thread or
-worker count as long as the same (seed, path) pairs are used."""
+seeded with integers produced here or given by the caller, so results are
+independent of thread or worker count as long as the same (seed, path) pairs
+are used."""
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15  # floor(2^64 / golden ratio), odd

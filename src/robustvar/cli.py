@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Every run that
 writes output files also writes a ``.provenance.json`` next to them with the
-resolved parameters, seed, and RNG identifier.
+resolved parameters, the seed of the commands that draw (``fit`` draws
+nothing), and the RNG identifier.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _cmd_fit(args) -> int:
         lambda_mode=args.lambda_mode,
         lam=args.lam,
         c=args.c,
-        opt=OptimizerConfig(step=args.step, tol=args.tol, max_iter=args.max_iter, seed=args.seed),
+        opt=OptimizerConfig(step=args.step, tol=args.tol, max_iter=args.max_iter),
     )
     est, results = fit_var(data, args.lag, fit)
     write_var_model_csv(est, args.out)
@@ -149,7 +150,7 @@ def _cmd_fit(args) -> int:
          "tau": args.tau, "b": args.b, "weight_form": args.weight_form,
          "lambda_mode": args.lambda_mode, "lambda": lam, "c": args.c,
          "step": args.step, "step_used": results[0].step, "tol": args.tol,
-         "max_iter": args.max_iter, "seed": args.seed, "outputs": [args.out]},
+         "max_iter": args.max_iter, "outputs": [args.out]},
     )
     converged = sum(r.converged for r in results)
     print(
@@ -243,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "design's gradient Lipschitz bound")
     pf.add_argument("--tol", type=float, default=1e-4)
     pf.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--out", default="bhat.csv")
     pf.set_defaults(func=_cmd_fit)
 

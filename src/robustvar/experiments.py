@@ -31,7 +31,7 @@ from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
 from .losses import RobustConfig
-from .optimizer import OptimizerConfig, init_columns, proximal_gradient_fit_columns
+from .optimizer import OptimizerConfig, proximal_gradient_fit_columns
 from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
@@ -113,9 +113,10 @@ def _check_generator(p: int, n_values, replications: int, burn_in: int,
 class ExperimentSpec:
     """One experiment: a case label, parameter grids, and run bookkeeping.
 
-    Every fit is lag 1.  Construction checks the generator settings and seed
-    and builds the fit settings of each tau and the noise of each df, so a
-    value they reject fails here, before any path is simulated.
+    Every fit is lag 1.  Construction stores each grid as a tuple, checks the
+    generator settings and seed, builds the fit settings of each tau with the
+    tuning value of each n, and the noise of each df, so a value they reject
+    fails here, before any path is simulated.
     """
 
     case: str = "custom"
@@ -140,13 +141,19 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.case not in ("case1_df_sweep", "case2_n_sweep", "case3_n_sweep_fixed_tau", "custom"):
             raise ValueError(f"unknown case {self.case!r}")
+        for grid in ("n_grid", "df_grid", "tau_grid"):
+            if not isinstance(values := getattr(self, grid), (list, tuple)):
+                raise ValueError(f"{grid} must be a list of values, got {values!r}")
+            object.__setattr__(self, grid, tuple(values))
         if not (self.n_grid and self.df_grid and self.tau_grid):
             raise ValueError("grids must be nonempty")
         _check_generator(self.p, self.n_grid, self.replications, self.burn_in,
                          self.density, self.rho_target)
         _check_int("seed", self.seed)
         for tau in self.tau_grid:
-            self.fit_config(tau)
+            fit = self.fit_config(tau)
+            for n in self.n_grid:
+                fit.lambda_for(self.p, 1, n - 1)
         for df in self.df_grid:
             StudentTNoise(df)
 
@@ -218,7 +225,7 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
                   dgp: VarTDgp, data: np.ndarray | SimulationError) -> list[dict]:
     """All rows for one (grid cell, replication): one row per tau level.  The
     levels share the path's lag-1 design, so they are fitted in one tau-major
-    call of len(tau_grid) * p columns, each level from the same seeded start.
+    call of len(tau_grid) * p columns, every column from zero.
     ``data`` is the attempt-0 path or its error; a non-finite path is retried
     alone, on the next substreams."""
     cell_index, df, n, rep = task
@@ -243,10 +250,9 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
             row.update(error=math.nan, iterations=0, converged=False)
         return rows
     # the path was checked finite where it was drawn
-    start = np.tile(init_columns(p, p, derive_seed(rep_seed, 2)), levels)
     results = proximal_gradient_fit_columns(
         data[:-1], np.tile(data[1:], levels), fits[0].robust, fits[0].penalty,
-        np.repeat(lams, p), fits[0].opt, start, tau=np.repeat(spec.tau_grid, p),
+        np.repeat(lams, p), fits[0].opt, tau=np.repeat(spec.tau_grid, p),
     )
     for row, i in zip(rows, range(0, levels * p, p)):
         level = results[i:i + p]
@@ -406,11 +412,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    kwargs = dict(d)
-    for grid in ("n_grid", "df_grid", "tau_grid"):
-        if grid in kwargs:
-            kwargs[grid] = tuple(kwargs[grid])
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(**d)
 
 
 def write_provenance(path, record: dict) -> None:

@@ -15,7 +15,6 @@ __all__ = [
     "OptimizerConfig",
     "FitResult",
     "DivergenceError",
-    "init_columns",
     "proximal_gradient_fit_columns",
 ]
 
@@ -40,6 +39,9 @@ class OptimizerConfig:
     Lipschitz bound (:func:`_lipschitz_bound`, the largest eigenvalue of the
     Mallows-weighted Gram matrix), which guarantees monotone descent of the
     penalized objective; a float is used as a fixed step instead.
+
+    ``seed`` is checked (an integer in [0, 2**64)) but has no effect: the
+    solver draws nothing, and every cold fit starts at zero.
     """
 
     step: float | None = None
@@ -68,19 +70,6 @@ class FitResult:
     converged: bool
     step: float
     lambda_max: float
-
-
-def init_columns(q: int, k: int, seed: int) -> np.ndarray:
-    """The (q, k) seeded start of a k-column fit: k rows of q iid Uniform(-1, 1)
-    draws from one generator seeded with ``seed``, row j normalised into
-    column j, so column j depends only on (seed, q, j).  An all-zero row is
-    redrawn from the same generator."""
-    _check_int("q", q, 1)
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-1.0, 1.0, (k, q))
-    while not (nrm := np.linalg.norm(v, axis=1)).all():
-        v[nrm == 0] = rng.uniform(-1.0, 1.0, (np.count_nonzero(nrm == 0), q))
-    return (v / nrm[:, None]).T.copy()
 
 
 def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
@@ -119,9 +108,9 @@ def proximal_gradient_fit_columns(
     both finite float64, together: one proximal gradient step (threshold
     lam*step, with the step of ``opt``, by default 1/L of ``x``) for all
     running columns per iteration.  Column j starts from ``start[:, j]``
-    (``start`` is (q, k) and is not modified), by default from
-    ``init_columns(q, k, opt.seed)``, and stops on its own once its iterates
-    move by at most ``opt.tol`` or after ``opt.max_iter`` updates.
+    (``start`` is (q, k) and is not modified), by default from zero, and
+    stops on its own once its iterates move by at most ``opt.tol`` or after
+    ``opt.max_iter`` updates.
 
     ``lam`` and the Huber cut-off ``tau`` (by default ``cfg.tau``) are each one
     value for all columns or a (k,) array, one per column; the Mallows weights,
@@ -139,7 +128,7 @@ def proximal_gradient_fit_columns(
     if not np.all(np.isfinite(tau) & (tau > 0)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if start is None:
-        start = init_columns(q, k, opt.seed)
+        start = np.zeros((q, k))
     else:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (q, k) or not np.all(np.isfinite(start)):

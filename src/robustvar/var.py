@@ -85,12 +85,17 @@ class FitConfig:
             raise ValueError(f"lam must be 0 in theory mode, got {self.lam}")
         if self.lambda_mode == "theory" and not self.c > 0:
             raise ValueError(f"theory-mode constant c must be positive, got {self.c}")
+        if self.lambda_mode == "theory" and not math.isfinite(self.c):
+            raise ValueError(f"theory-mode constant c must be finite, got {self.c}")
 
     def lambda_for(self, p: int, d: int, n: int) -> float:
         """The tuning value for p columns at lag d with n usable rows."""
-        if self.lambda_mode == "theory":
-            return theory_lambda(p, d, n, self.robust, self.c)
-        return self.lam
+        if self.lambda_mode == "explicit":
+            return self.lam
+        lam = theory_lambda(p, d, n, self.robust, self.c)
+        if not math.isfinite(lam):
+            raise ValueError(f"theory lambda overflows at c = {self.c} (p={p}, d={d}, n={n})")
+        return lam
 
 
 def companion_matrix(model: VarModel) -> np.ndarray:
@@ -152,19 +157,15 @@ def theory_lambda(p: int, d: int, n: int, cfg: RobustConfig, c: float) -> float:
     return c * cfg.b_max * cfg.tau * math.sqrt(math.log(p * d) / n)
 
 
-def fit_var(
-    data: np.ndarray, d: int, fit: FitConfig, start: np.ndarray | None = None
-) -> tuple[VarModel, list[FitResult]]:
+def fit_var(data: np.ndarray, d: int, fit: FitConfig) -> tuple[VarModel, list[FitResult]]:
     """Estimate a lag-d transition matrix by p penalized column regressions.
 
-    All p share one penalty and tuning value and are solved together; each
-    keeps its own seed and stop test, so column order does not matter.
-    ``start`` (p*d, p), if given, replaces the seeded start, column by column
-    (see :func:`proximal_gradient_fit_columns`)."""
+    All p share one penalty and tuning value and are solved together, each
+    from zero with its own stop test, so column order does not matter."""
     x, y = _lagged_design(data, d)
     n, p = y.shape
     lam = fit.lambda_for(p, d, n)
-    results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt, start)
+    results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt)
     stacked = np.column_stack([r.beta_hat for r in results])
     coeffs = [stacked[k * p : (k + 1) * p, :] for k in range(d)]
     return VarModel(tuple(coeffs)), results

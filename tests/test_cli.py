@@ -98,6 +98,8 @@ class TestFitCommand:
         assert wide.shape == (5, 5)
         prov = json.loads((tmp_path / "bhat.csv.provenance.json").read_text())
         assert prov["lambda"] > 0
+        assert "seed" not in prov  # a fit draws nothing: every column starts at zero
+        assert run(["fit", "--input", str(data), "--tau", "1", "--seed", "0"]) == 2
 
     def test_lambda_above_every_lambda_max_writes_zero_model(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -188,6 +190,20 @@ class TestFitCommand:
         assert err == "error: ValueError: lam must be 0 in theory mode, got 0.3\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--c", "inf"], "theory-mode constant c must be finite, got inf"),
+        (["--c", "1e308"], "theory lambda overflows at c = 1e+308"),
+        (["--lag", "0"], "lag must be at least 1, got 0"),
+    ], ids=["c_inf", "c_overflow", "lag0"])
+    def test_bad_flag_exits_1_naming_it(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--p", "2", "--n", "30", "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "b.csv"
+        assert run(["fit", "--input", str(data), "--tau", "1", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {message}")
+        assert not out.exists() and not (tmp_path / "b.csv.provenance.json").exists()
+
     def test_series_without_data_column_names_it(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("t\n0\n1\n2\n3\n")
@@ -226,7 +242,9 @@ class TestExperimentCommand:
         monkeypatch.setattr("robustvar.experiments.simulate_paths", no_simulate)
         spec_path = tmp_path / "exp.json"
         for bad, message in [({"tol": 0}, "tol must be positive"),
-                             ({"n_grid": [1]}, "n must be at least 2")]:
+                             ({"n_grid": [1]}, "n must be at least 2"),
+                             ({"n_grid": 30}, "n_grid must be a list of values, got 30"),
+                             ({"c": float("inf")}, "theory-mode constant c must be finite")]:
             spec_path.write_text(json.dumps({**bad, "output_dir": str(tmp_path / "out")}))
             assert run(["experiment", "--spec", str(spec_path), "--workers", "2"]) == 1
             err = capsys.readouterr().err
@@ -353,9 +371,11 @@ class TestBadValues:
             ("diagnose", {"p": 1, "lambda": 0.5}, "p must be at least 2, got 1"),
             ("diagnose", {"c": -1}, "c must be positive, got -1"),
             ("diagnose", {"lambda": float("nan")}, "lam must be nonnegative and finite, got nan"),
+            ("diagnose", {"c": float("inf")}, "c must be finite, got inf"),
+            ("diagnose", {"c": 1e308}, "theory lambda overflows at c = 1e+308"),
         ],
         ids=["axis", "sd", "p", "n", "replications", "column", "n_directions",
-             "lambda_n", "lambda_p", "c", "lambda_nan"],
+             "lambda_n", "lambda_p", "c", "lambda_nan", "c_inf", "c_overflow"],
     )
     def test_exits_1_naming_the_field(self, tmp_path, capsys, command, spec, key):
         spec_path = tmp_path / "spec.json"

@@ -34,7 +34,6 @@ from robustvar import (
 )
 from robustvar._seeds import derive_seed
 from robustvar.experiments import spec_from_dict, spec_to_dict, write_provenance
-from robustvar.optimizer import init_columns
 from robustvar.simulate import SimulationError
 from robustvar.svgplot import emit_svg_lines
 
@@ -106,6 +105,10 @@ class TestSpecAndPresets:
             ({"rho_target": 0}, "rho_target"),
             ({"max_iter": 2.5}, "max_iter"),
             ({"seed": 1.5}, "seed"),
+            ({"c": float("inf")}, "c"),
+            ({"c": 1e308}, "c"),
+            ({"n_grid": 30}, "n_grid"),
+            ({"tau_grid": "1"}, "tau_grid"),
         ]:
             with pytest.raises(ValueError, match=rf"\b{field}\b"):
                 tiny_spec(**bad)
@@ -174,8 +177,7 @@ class TestRunExperiment:
             truth = VarModel((b,))
             data = simulate(VarTDgp(truth, StudentTNoise(row["df"])), row["n"], spec.burn_in,
                             derive_seed(row["seed"], 1, 0))
-            start = init_columns(5, 5, derive_seed(row["seed"], 2))
-            est, _ = fit_var(data, 1, spec.fit_config(row["tau"]), start)
+            est, _ = fit_var(data, 1, spec.fit_config(row["tau"]))
             assert row["error"] == estimation_error(est, truth)
 
     def test_one_stacked_recursion_per_n_in_a_batch(self, monkeypatch):
@@ -275,15 +277,16 @@ class TestRunExperiment:
         assert run_experiment(spec, workers=workers) == run_experiment(spec)
         assert sizes == [started]
 
-    def test_each_task_draws_its_start_once(self, monkeypatch):
-        def no_default_start(*a, **k):
-            raise AssertionError("a fit drew its own start")
+    def test_each_task_fits_once_from_zero(self, monkeypatch):
+        calls, real = [], exps.proximal_gradient_fit_columns
 
-        calls, real = [], exps.init_columns
-        monkeypatch.setattr("robustvar.optimizer.init_columns", no_default_start)
-        monkeypatch.setattr(exps, "init_columns", lambda *a: calls.append(a) or real(*a))
+        def spy(*args, **kwargs):
+            calls.append(len(args) > 6 or "start" in kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exps, "proximal_gradient_fit_columns", spy)
         rows = run_experiment(tiny_spec(replications=3, tau_grid=(1.0, 3.0, 10.0)))
-        assert len(rows) == 9 and len(calls) == 3
+        assert len(rows) == 9 and calls == [False] * 3  # no start given: every column from zero
 
     def test_explicit_step_beyond_curvature_warns_once_per_replication(self, caplog):
         spec = tiny_spec(replications=2, step=1e3, max_iter=5)
@@ -349,17 +352,19 @@ class TestCsv:
         assert b"\r" not in raw
 
     @pytest.mark.parametrize(
-        "body, message",
+        "header, body, message",
         [
-            ("custom,3,20,1,3,1,0.5,0,0.25,4,true,7\ncustom,3,x,1,3,1,0.5,1,0.25,4,true,8\n",
+            (None, "custom,3,20,1,3,1,0.5,0,0.25,4,true,7\ncustom,3,x,1,3,1,0.5,1,0.25,4,true,8\n",
              "^line 3, column n: 'x' is not a number$"),
-            ("custom,3,20,1,3,1,0.5,0,0.25,4,true\n", "^line 2 has 11 values, the header names 12$"),
+            (None, "custom,3,20,1,3,1,0.5,0,0.25,4,true\n",
+             "^line 2 has 11 values, the header names 12$"),
+            ("case,p,n", "custom,3,20\n", r"^unexpected header \['case', 'p', 'n'\]$"),
         ],
-        ids=["cell", "ragged"],
+        ids=["cell", "ragged", "header"],
     )
-    def test_bad_row_names_line_and_column(self, tmp_path, body, message):
+    def test_bad_row_names_line_and_column(self, tmp_path, header, body, message):
         path = tmp_path / "bad.csv"
-        path.write_text(",".join(exps.CSV_FIELDS) + "\n" + body)
+        path.write_text((header or ",".join(exps.CSV_FIELDS)) + "\n" + body)
         with pytest.raises(ValueError, match=message):
             read_results_csv(path)
 

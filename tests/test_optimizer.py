@@ -13,7 +13,7 @@ from robustvar import (
 )
 from robustvar import losses, optimizer
 from robustvar.losses import mallows_weights
-from robustvar.optimizer import _lipschitz_bound, init_columns, proximal_gradient_fit_columns
+from robustvar.optimizer import _lipschitz_bound, proximal_gradient_fit_columns
 from robustvar.penalties import dual_value, prox
 
 from conftest import cd_robust_lasso, objective_at, penalty_norm
@@ -22,31 +22,6 @@ from conftest import cd_robust_lasso, objective_at, penalty_norm
 def lipschitz(x, cfg):
     """The default step's curvature bound L of the design ``x``."""
     return _lipschitz_bound(x, mallows_weights(x, cfg))
-
-
-class TestInitBeta:
-    def test_deterministic(self):
-        np.testing.assert_array_equal(init_columns(3, 1, 7)[:, 0], init_columns(3, 1, 7)[:, 0])
-
-    def test_unit_norm(self):
-        for q, seed in [(1, 0), (5, 1), (50, 2)]:
-            assert np.linalg.norm(init_columns(q, 1, seed)[:, 0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_one_dimensional(self):
-        assert abs(init_columns(1, 1, 123)[0, 0]) == pytest.approx(1.0)
-
-    def test_different_seeds_differ(self):
-        assert not np.array_equal(init_columns(4, 1, 0)[:, 0], init_columns(4, 1, 1)[:, 0])
-
-    def test_column_depends_only_on_seed_q_and_index(self):
-        for q in (1, 3, 50):
-            wide = init_columns(q, 20, 9)
-            assert wide.shape == (q, 20) and wide.flags.c_contiguous
-            np.testing.assert_allclose(np.linalg.norm(wide, axis=0), 1.0, rtol=0, atol=1e-12)
-            for k in (1, 2, 7, 19):
-                np.testing.assert_array_equal(init_columns(q, k, 9), wide[:, :k])
-            np.testing.assert_array_equal(init_columns(q, 1, 9)[:, 0], wide[:, 0])
-        assert not np.array_equal(init_columns(4, 2, 0), init_columns(4, 2, 1))
 
 
 class TestProximalGradientFit:
@@ -58,7 +33,7 @@ class TestProximalGradientFit:
         y = x @ beta_true + rng.standard_normal(n)
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1e8, b=1e8)
-        opt = OptimizerConfig(step=0.9, tol=1e-7, max_iter=20000, seed=1)
+        opt = OptimizerConfig(step=0.9, tol=1e-7, max_iter=20000)
         res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.0, opt)[0]
         ols = np.linalg.solve(x.T @ x, x.T @ y)
         assert res.converged
@@ -70,7 +45,7 @@ class TestProximalGradientFit:
         reg = Regression(np.zeros(30), x)
         cfg = RobustConfig(tau=1, b=3)
         res = proximal_gradient_fit_columns(
-            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.5, OptimizerConfig(seed=2)
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.5, OptimizerConfig()
         )[0]
         np.testing.assert_array_equal(res.beta_hat, np.zeros(4))
         assert res.converged
@@ -85,7 +60,7 @@ class TestProximalGradientFit:
             reg = Regression(y, x)
             cfg = RobustConfig(tau=1.0, b=3.0)
             lam = 0.1
-            opt = OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000, seed=k)
+            opt = OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000)
             res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
             ref = cd_robust_lasso(y, x, lam, 1.0, 3.0)
             f_pg = objective_at(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
@@ -104,7 +79,7 @@ class TestProximalGradientFit:
         reg = Regression(y, x)
         pen = Penalty("group", groups=((0, 1), (2, 3)))
         res = proximal_gradient_fit_columns(
-            reg.x, reg.y[:, None], RobustConfig(tau=2, b=5), pen, 0.2, OptimizerConfig(seed=4)
+            reg.x, reg.y[:, None], RobustConfig(tau=2, b=5), pen, 0.2, OptimizerConfig()
         )[0]
         assert res.converged and res.iterations > 1
         assert checked == [4]  # the groups are checked once per fit, not per iteration
@@ -120,9 +95,10 @@ class TestProximalGradientFit:
             )
         rng = np.random.default_rng(15)
         x = rng.standard_normal((60, 4)) * 2
-        y = x @ rng.standard_normal((4, 3)) + rng.standard_t(3, (60, 3))
+        # columns of unequal size: from zero they take 10, 16 and 40 iterations
+        y = x @ (rng.standard_normal((4, 3)) * [0.2, 1.0, 5.0]) + rng.standard_t(3, (60, 3))
         res = proximal_gradient_fit_columns(
-            x, y, RobustConfig(tau=1, b=3), Penalty("l1"), 0.01, OptimizerConfig(seed=5)
+            x, y, RobustConfig(tau=1, b=3), Penalty("l1"), 0.01, OptimizerConfig()
         )
         assert all(r.converged for r in res)
         assert len({r.iterations for r in res}) > 1  # the batch narrows as columns stop
@@ -138,10 +114,10 @@ class TestProximalGradientFit:
             cfg = RobustConfig(tau=1, b=3)
             pen, lam = Penalty("l1"), 0.05
             res = proximal_gradient_fit_columns(
-                reg.x, reg.y[:, None], cfg, pen, lam, OptimizerConfig(tol=1e-8, seed=k)
+                reg.x, reg.y[:, None], cfg, pen, lam, OptimizerConfig(tol=1e-8)
             )[0]
-            # rebuild every iterate from the public pieces of one step
-            beta, objective = init_columns(q, 1, k)[:, 0], []
+            # rebuild every iterate from zero with the public pieces of one step
+            beta, objective = np.zeros(q), []
             for _ in range(res.iterations):
                 g = robust_gradient(reg, beta, cfg)
                 beta = prox(pen, (beta - res.step * g)[:, None], lam * res.step)[:, 0]
@@ -156,10 +132,10 @@ class TestProximalGradientFit:
         cfg = RobustConfig(tau=1, b=3)
         step = 1.0 / lipschitz(reg.x, cfg)
         default = proximal_gradient_fit_columns(
-            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(seed=3)
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig()
         )[0]
         explicit = proximal_gradient_fit_columns(
-            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(step=step, seed=3)
+            reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, OptimizerConfig(step=step)
         )[0]
         assert default.step == explicit.step == step
         assert default.iterations == explicit.iterations
@@ -196,11 +172,11 @@ class TestProximalGradientFit:
         y = x @ np.array([1.0, -0.5, 0.0]) + 0.2 * rng.standard_normal(60)
         reg = Regression(y, x)
         cfg = RobustConfig(tau=2, b=4)
-        opt = OptimizerConfig(step=0.5, tol=1e-13, max_iter=100000, seed=7)
+        opt = OptimizerConfig(step=0.5, tol=1e-13, max_iter=100000)
         res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.05, opt)[0]
         assert res.converged
         # restart from the solution: one further update moves it negligibly
-        opt2 = OptimizerConfig(step=0.5, tol=1e-30, max_iter=1, seed=7)
+        opt2 = OptimizerConfig(step=0.5, tol=1e-30, max_iter=1)
         g = robust_gradient(reg, res.beta_hat, cfg)
         moved = prox(Penalty("l1"), (res.beta_hat - 0.5 * g)[:, None], 0.05 * 0.5)[:, 0]
         assert np.linalg.norm(moved - res.beta_hat) <= 1e-12
@@ -211,7 +187,7 @@ class TestProximalGradientFit:
         y = rng.standard_normal(25)
         reg = Regression(y, x)
         cfg = RobustConfig(tau=1, b=3)
-        opt = OptimizerConfig(seed=9)
+        opt = OptimizerConfig()
         r1 = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.1, opt)[0]
         r2 = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.1, opt)[0]
         assert r1.iterations == r2.iterations
@@ -223,7 +199,7 @@ class TestProximalGradientFit:
         # non-finite iterate needs scales near the float ceiling
         reg = Regression(np.array([1.0]), np.array([[1e9]]))
         cfg = RobustConfig(tau=1e300, b=1e300)
-        opt = OptimizerConfig(step=1.0, max_iter=100, seed=0)
+        opt = OptimizerConfig(step=1.0, max_iter=100)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
             proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, Penalty("l1"), 0.0, opt)
         assert exc.value.iteration > 0
@@ -267,7 +243,7 @@ class TestProximalGradientFit:
         reg = Regression(y, x)
         res = proximal_gradient_fit_columns(
             reg.x, reg.y[:, None], RobustConfig(tau=1e8, b=1e8), Penalty("l1"), 0.0,
-            OptimizerConfig(step=0.9, tol=1e-16, max_iter=5, seed=0),
+            OptimizerConfig(step=0.9, tol=1e-16, max_iter=5),
         )[0]
         assert not res.converged
         assert res.iterations == 5
@@ -307,7 +283,7 @@ class TestZeroScreen:
     @PENALTIES
     def test_lambda_max_is_the_dual_norm_at_zero(self, pen):
         x, y, cfg = self.problem()
-        opt = OptimizerConfig(seed=3)
+        opt = OptimizerConfig()
         batch = proximal_gradient_fit_columns(x, y, cfg, pen, 0.3, opt)
         assert {r.iterations == 0 for r in batch} == {True, False}  # screened and not
         for j in range(y.shape[1]):
@@ -320,7 +296,7 @@ class TestZeroScreen:
     @PENALTIES
     def test_lambda_at_lambda_max_gives_exact_zero(self, pen):
         x, y, cfg = self.problem()
-        opt = OptimizerConfig(seed=3)
+        opt = OptimizerConfig()
         for j in range(y.shape[1]):
             lam = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, 0.0, opt)[0].lambda_max
             for scale in (1.0, 2.0):
@@ -333,7 +309,7 @@ class TestZeroScreen:
     @PENALTIES
     def test_lambda_just_below_lambda_max_iterates_to_nonzero(self, pen):
         x, y, cfg = self.problem()
-        opt = OptimizerConfig(seed=3)
+        opt = OptimizerConfig()
         for j in range(y.shape[1]):
             lam = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, 0.0, opt)[0].lambda_max
             res = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, lam * (1 - 1e-3), opt)[0]
@@ -373,7 +349,7 @@ class TestZeroScreen:
     @PENALTIES
     def test_mixed_batch_leaves_start_alone(self, pen):
         x, y, cfg = self.problem()
-        start = init_columns(4, 6, 3)
+        start = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 6))
         kept = start.copy()
         results = proximal_gradient_fit_columns(x, y, cfg, pen, 0.3, OptimizerConfig(), start)
         assert {r.iterations == 0 for r in results} == {True, False}
@@ -392,24 +368,65 @@ class TestPerColumnSettings:
         x, y, _ = TestZeroScreen.problem()
         taus = np.array([0.5, 1.0, 2.0, 10.0, 1.0, 3.0])
         lams = np.array([0.05, 0.1, 0.02, 0.2, 50.0, 0.08])  # column 4 is zero-optimal
-        start = init_columns(4, 6, 3)
         cfg, opt = RobustConfig(tau=1.0, b=3.0), OptimizerConfig(tol=1e-8)
-        batch = proximal_gradient_fit_columns(x, y, cfg, pen, lams, opt, start, tau=taus)
+        batch = proximal_gradient_fit_columns(x, y, cfg, pen, lams, opt, tau=taus)
         assert {r.iterations == 0 for r in batch} == {True, False}
         for j, res in enumerate(batch):
             (one,) = proximal_gradient_fit_columns(
-                x, y[:, [j]], RobustConfig(tau=taus[j], b=3.0), pen, lams[j], opt, start[:, [j]])
+                x, y[:, [j]], RobustConfig(tau=taus[j], b=3.0), pen, lams[j], opt)
             assert res.iterations == one.iterations
             # a k-column product rounds differently from a one-column one
             np.testing.assert_allclose(res.beta_hat, one.beta_hat, rtol=0, atol=1e-13)
             assert res.lambda_max == pytest.approx(one.lambda_max, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("lam, message", [
-        ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], "lambda must be nonnegative"),
-        ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], "lambda must be nonnegative"),
-        ([0.1] * 5, r"lambda must be a scalar or have shape \(6,\), got \(5,\)"),
-    ], ids=["negative", "nan", "short"])
-    def test_bad_lambda_vector_rejected(self, lam, message):
+    @pytest.mark.parametrize("lam, tau, message", [
+        ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], None, "lambda must be nonnegative"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], None, "lambda must be nonnegative"),
+        ([0.1] * 5, None, r"lambda must be a scalar or have shape \(6,\), got \(5,\)"),
+        (0.1, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], "tau must be positive and finite"),
+        (0.1, [1.0, 1.0, np.inf, 1.0, 1.0, 1.0], "tau must be positive and finite"),
+        (0.1, np.nan, "tau must be positive and finite, got nan"),
+        (0.1, [1.0] * 5, r"tau must be a scalar or have shape \(6,\), got \(5,\)"),
+    ], ids=["negative", "nan", "short", "tau_zero", "tau_inf", "tau_nan", "tau_short"])
+    def test_bad_lambda_vector_rejected(self, lam, tau, message):
         x, y, cfg = TestZeroScreen.problem()
         with pytest.raises(ValueError, match=message):
-            proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), lam, OptimizerConfig())
+            proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), lam, OptimizerConfig(), tau=tau)
+
+
+class TestStart:
+    """Every cold fit starts at zero; a given start is used as given."""
+
+    def test_default_start_is_zero(self):
+        x, y, cfg = TestZeroScreen.problem()
+        pen, opt = Penalty("l1"), OptimizerConfig(tol=1e-8)
+        cold = proximal_gradient_fit_columns(x, y, cfg, pen, 0.05, opt)
+        given = proximal_gradient_fit_columns(x, y, cfg, pen, 0.05, opt, np.zeros((4, 6)))
+        assert [r.iterations for r in cold] == [r.iterations for r in given]
+        for a, b in zip(cold, given):
+            assert a.beta_hat.tobytes() == b.beta_hat.tobytes()
+        # one fixed step from zero is the prox of the step along -grad L(0)
+        one = proximal_gradient_fit_columns(x, y, cfg, pen, 0.05, OptimizerConfig(step=0.1,
+                                                                                  max_iter=1))
+        for j, res in enumerate(one):
+            g = robust_gradient(Regression(y[:, j], x), np.zeros(4), cfg)
+            expected = prox(pen, -0.1 * g[:, None], 0.05 * 0.1)[:, 0]
+            np.testing.assert_allclose(res.beta_hat, expected, rtol=0, atol=1e-15)
+
+    def test_seed_has_no_effect(self):
+        x, y, cfg = TestZeroScreen.problem()
+        fits = [proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.05,
+                                              OptimizerConfig(seed=seed)) for seed in (0, 1)]
+        for a, b in zip(*fits):
+            assert (a.iterations, a.final_change) == (b.iterations, b.final_change)
+            assert a.beta_hat.tobytes() == b.beta_hat.tobytes()
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match=r"^seed must be "):
+                OptimizerConfig(seed=seed)
+
+    @pytest.mark.parametrize("start", [np.zeros((4, 7)), np.zeros(4), np.full((4, 6), np.nan)],
+                             ids=["columns", "vector", "nan"])
+    def test_bad_start_rejected(self, start):
+        x, y, cfg = TestZeroScreen.problem()
+        with pytest.raises(ValueError, match=r"^start must be a finite \(4, 6\) array"):
+            proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.1, OptimizerConfig(), start)

@@ -11,7 +11,6 @@ from robustvar import (
     FitConfig,
     OptimizerConfig,
     Penalty,
-    Regression,
     RobustConfig,
     VarModel,
     companion_matrix,
@@ -19,13 +18,11 @@ from robustvar import (
     fit_var,
     mallows_weights,
     read_var_model_csv,
-    robust_gradient,
     spectral_radius,
     theory_lambda,
     write_var_model_csv,
 )
-from robustvar.optimizer import _lipschitz_bound, init_columns, proximal_gradient_fit_columns
-from robustvar.penalties import prox
+from robustvar.optimizer import _lipschitz_bound, proximal_gradient_fit_columns
 from robustvar.var import _lagged_design
 
 
@@ -145,6 +142,15 @@ class TestDecompose:
         with pytest.raises(ValueError):
             _lagged_design(np.ones((2, 2)), 2)
 
+    @pytest.mark.parametrize("data, d, message", [
+        (np.zeros(10), 1, r"^data must be a 2-d array \(rows = time points\)$"),
+        (np.full((10, 2), np.nan), 1, "^regression data must be finite$"),
+        (np.zeros((10, 2)), 0, "^lag must be at least 1, got 0$"),
+    ], ids=["1d", "nan", "lag0"])
+    def test_bad_series_or_lag_rejected(self, data, d, message):
+        with pytest.raises(ValueError, match=message):
+            _lagged_design(data, d)
+
     def test_no_series_column_rejected(self):
         fit = FitConfig(RobustConfig(tau=1.0, b=3.0))
         with pytest.raises(ValueError, match="^data has no series column$"):
@@ -188,7 +194,7 @@ class TestFitVar:
         fit = FitConfig(
             robust=RobustConfig(tau=1e8, b=1e8),
             lambda_mode="explicit", lam=0.0,
-            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=0),
+            opt=OptimizerConfig(tol=1e-12, max_iter=100000),
         )
         est, _ = fit_var(data, 1, fit)
         assert estimation_error(est, VarModel((b,))) <= 1e-3
@@ -197,7 +203,7 @@ class TestFitVar:
         rng = np.random.default_rng(7)
         data = np.cumsum(rng.standard_normal((40, 1)) * 0.1, axis=0)
         cfg = RobustConfig(tau=1.0, b=3.0)
-        opt = OptimizerConfig(seed=42)
+        opt = OptimizerConfig()
         fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=opt)
         est, results = fit_var(data, 1, fit)
         x, y = _lagged_design(data, 1)
@@ -222,8 +228,7 @@ class TestFitVar:
         for t in range(1, 80):
             data[t] = b.T @ data[t - 1] + rng.standard_t(3, p)
         cfg = RobustConfig(tau=1.0, b=3.0)
-        opt = OptimizerConfig(seed=5)
-        start = init_columns(p, p, 5)
+        opt = OptimizerConfig()
         x, y = _lagged_design(data, 1)
         for lam in (0.02, 0.3):
             fit = FitConfig(robust=cfg, penalty=pen, lambda_mode="explicit", lam=lam, opt=opt)
@@ -231,46 +236,13 @@ class TestFitVar:
             assert len({r.iterations for r in results}) > 1
             assert (min(r.iterations for r in results) == 0) == (lam == 0.3)
             for j in range(p):
-                direct = proximal_gradient_fit_columns(
-                    x, y[:, [j]], cfg, pen, lam, opt, start[:, [j]]
-                )[0]
+                direct = proximal_gradient_fit_columns(x, y[:, [j]], cfg, pen, lam, opt)[0]
                 assert results[j].iterations == direct.iterations
                 assert results[j].converged == direct.converged
                 np.testing.assert_allclose(
                     results[j].beta_hat, direct.beta_hat, rtol=0, atol=1e-12
                 )
                 np.testing.assert_array_equal(est.coeffs[0][:, j], results[j].beta_hat)
-
-    def test_start_replaces_the_seeded_start(self):
-        rng = np.random.default_rng(13)
-        p = 4
-        data = np.cumsum(rng.standard_t(3, (60, p)) * 0.3, axis=0)
-        cfg = RobustConfig(tau=1.0, b=3.0)
-        fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.02, opt=OptimizerConfig(seed=5))
-        est, results = fit_var(data, 1, fit)
-        start = init_columns(p, p, 5)
-        kept = start.copy()
-        for _ in range(2):  # a start can be shared: no fit modifies it
-            given, given_results = fit_var(data, 1, fit, start)
-            np.testing.assert_array_equal(given.stacked(), est.stacked())
-            assert [r.iterations for r in given_results] == [r.iterations for r in results]
-        np.testing.assert_array_equal(start, kept)
-        # any other start is used as given: one fixed step from zero
-        one_step = replace(fit, opt=OptimizerConfig(step=0.1, max_iter=1, seed=5))
-        est0, _ = fit_var(data, 1, one_step, np.zeros((p, p)))
-        x, y = _lagged_design(data, 1)
-        for j in range(p):
-            g = robust_gradient(Regression(y[:, j], x), np.zeros(p), cfg)
-            expected = prox(Penalty("l1"), -0.1 * g[:, None], 0.02 * 0.1)[:, 0]
-            np.testing.assert_allclose(est0.coeffs[0][:, j], expected, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("start", [np.zeros((4, 5)), np.zeros(4), np.full((4, 4), np.nan)],
-                             ids=["columns", "vector", "nan"])
-    def test_bad_start_rejected(self, start):
-        data = np.random.default_rng(2).standard_normal((30, 4))
-        fit = FitConfig(RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=0.1)
-        with pytest.raises(ValueError, match=r"^start must be a finite \(4, 4\) array"):
-            fit_var(data, 1, fit, start)
 
     def test_divergence_names_column(self):
         # the last design row times the clipped residual of column 1's last
@@ -281,7 +253,7 @@ class TestFitVar:
         data[-1, 1] = 1e308
         fit = FitConfig(
             robust=RobustConfig(tau=1e308, b=1e308), lambda_mode="explicit", lam=0.0,
-            opt=OptimizerConfig(step=1e-6, seed=0),
+            opt=OptimizerConfig(step=1e-6),
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
             fit_var(data, 1, fit)
@@ -304,7 +276,7 @@ class TestFitVar:
         fit = FitConfig(
             robust=RobustConfig(tau=1e8, b=1e8),
             lambda_mode="explicit", lam=0.0,
-            opt=OptimizerConfig(tol=1e-12, max_iter=100000, seed=3),
+            opt=OptimizerConfig(tol=1e-12, max_iter=100000),
         )
         est1, _ = fit_var(data, 1, fit)
         est2, _ = fit_var(data[:, perm], 1, fit)
@@ -327,9 +299,9 @@ class TestFitVar:
         # the bound depends on the shared lag-1 design only
         x = data[:-1]
         step = 1.0 / _lipschitz_bound(x, mallows_weights(x, cfg))
-        fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=OptimizerConfig(seed=4))
+        fit = FitConfig(robust=cfg, lambda_mode="explicit", lam=0.05, opt=OptimizerConfig())
         est, results = fit_var(data, 1, fit)
-        est2, results2 = fit_var(data, 1, replace(fit, opt=OptimizerConfig(step=step, seed=4)))
+        est2, results2 = fit_var(data, 1, replace(fit, opt=OptimizerConfig(step=step)))
         np.testing.assert_array_equal(est.coeffs[0], est2.coeffs[0])
         assert [r.iterations for r in results] == [r.iterations for r in results2]
         assert all(r.step == step for r in results)
@@ -338,7 +310,7 @@ class TestFitVar:
         rng = np.random.default_rng(9)
         data = rng.standard_normal((31, 2)) * 0.5
         cfg = RobustConfig(tau=1.0, b=3.0)
-        fit = FitConfig(robust=cfg, lambda_mode="theory", c=0.45, opt=OptimizerConfig(seed=0))
+        fit = FitConfig(robust=cfg, lambda_mode="theory", c=0.45, opt=OptimizerConfig())
         est, _ = fit_var(data, 1, fit)
         assert est.p == 2 and est.d == 1
 
@@ -347,7 +319,7 @@ class TestFitVar:
         data = rng.standard_normal((50, 2)) * 0.3
         fit = FitConfig(robust=RobustConfig(tau=1.0, b=3.0),
                         lambda_mode="explicit", lam=0.1,
-                        opt=OptimizerConfig(seed=1))
+                        opt=OptimizerConfig())
         est, results = fit_var(data, 2, fit)
         assert est.p == 2 and est.d == 2
         assert len(results) == 2
@@ -362,6 +334,16 @@ class TestFitVar:
     def test_theory_mode_rejects_a_lambda(self, lam):
         with pytest.raises(ValueError, match=r"^lam must be 0 in theory mode, got"):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lam=lam)
+
+    def test_theory_c_must_give_a_finite_lambda(self):
+        with pytest.raises(ValueError, match=r"^theory-mode constant c must be finite, got inf$"):
+            FitConfig(robust=RobustConfig(tau=1.0, b=3.0), c=math.inf)
+        # a finite c whose theory value overflows fails when the value is taken
+        fit = FitConfig(robust=RobustConfig(tau=1.0, b=3.0), c=1e308)
+        with pytest.raises(ValueError, match=r"^theory lambda overflows at c = 1e\+308 "):
+            fit.lambda_for(10, 1, 30)
+        with pytest.raises(ValueError, match=r"^theory lambda overflows at c = 1e\+308 "):
+            fit_var(np.zeros((30, 10)), 1, fit)
 
 
 class TestEstimationError:
