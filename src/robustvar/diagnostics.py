@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._checks import _check_int
+from ._checks import _check_int, _check_real
 from ._tables import format_cell, write_table
 from .losses import (
     Regression,
@@ -115,17 +115,22 @@ def _re_probe(
     sparsity_s: int,
     seed: int,
 ) -> tuple[float, np.ndarray]:
-    """Smallest remainder ratio and its direction at ``truth``, the
-    (beta_star, weights) of :func:`_at_truth`; radius None is tau / (2 * b_max).
-    A non-finite loss at the truth raises."""
+    """Smallest remainder ratio and its direction at ``truth`` (see :func:`_at_truth`); radius
+    None is tau / (2 * b_max).  A non-finite loss at the truth raises, as does a radius at which
+    n * radius**2, or the bound 1.5 * n * reach**2 on a remainder sum, leaves the float range."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
+    _check_real("radius", radius, 0)
     _check_int("n_directions", n_directions, 1)
     _check_int("sparsity_s", sparsity_s, 1)
     beta_star, w = truth
-    q = x.shape[1]
+    n, q = x.shape
+    xw = x * w[:, None]
+    r = float(radius)  # a Python float overflows to inf without a warning
+    scale = n * r * r
+    reach = r * math.sqrt(q) * float(np.abs(xw).max(initial=0.0))  # >= |xw_i . v| for |v| = r
+    if not 0 < scale < math.inf or 1.5 * n * reach * reach == math.inf:
+        raise ValueError(f"radius {radius:g} at tau {cfg.tau:g} puts the sums out of float range")
     s = min(sparsity_s, q)
     if not math.isfinite(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0]):
         raise ValueError("the loss at beta_star is not finite")
@@ -143,9 +148,7 @@ def _re_probe(
         # probe both u and -u
         probes += (u, -u)
     directions = np.array(probes).reshape(-1, q)
-    xw = x * w[:, None]
     resid = w * (y - x @ beta_star)
-    scale = x.shape[0] * radius * radius
     best, best_dir = np.inf, np.zeros(q)
     for start in range(0, len(directions), _PROBE_BLOCK):
         block = directions[start : start + _PROBE_BLOCK]

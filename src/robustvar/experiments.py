@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_int
+from ._checks import _check_int, _check_real
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .diagnostics import DiagnosticsReport, diagnostics_replication
@@ -36,7 +36,6 @@ from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
 )
-from .simulate import _check_er_settings
 from .var import FitConfig, VarModel, estimation_error
 
 __all__ = [
@@ -106,7 +105,8 @@ def _check_generator(p: int, n_values, replications: int, burn_in: int,
         _check_int("n", n, 2)
     _check_int("replications", replications, 1)
     _check_int("burn_in", burn_in, 0)
-    _check_er_settings(density, rho_target)
+    _check_real("density", density, 0, 1)
+    _check_real("rho_target", rho_target, 0)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import _check_real
+
 __all__ = [
     "RobustConfig",
     "Regression",
@@ -41,18 +43,15 @@ class RobustConfig:
     _shrink_min_eig: float = field(init=False, repr=False, default=1.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"b must be positive and finite, got {self.b}")
+        _check_real("tau", self.tau, 0)
+        _check_real("b", self.b, 0)
         if self.weight_form not in ("linear", "quadratic"):
             raise ValueError(f"unknown weight_form {self.weight_form!r}")
         if self.shrinkage is not None:
+            _check_real("shrinkage", self.shrinkage)
             m = np.asarray(self.shrinkage, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("shrinkage must be a square matrix")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("shrinkage must be finite")
             eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
             if eigs[0] <= 0:
                 raise ValueError(
@@ -98,9 +97,10 @@ class Regression:
 
 
 def _huber(u: np.ndarray, tau: float) -> np.ndarray:
-    """Elementwise Huber loss of a float64 array; inputs are not validated."""
+    """Elementwise Huber loss c * (|u| - c/2), c = min(|u|, tau), so no unused branch overflows."""
     au = np.abs(u)
-    return np.where(au <= tau, 0.5 * u * u, tau * au - 0.5 * tau * tau)
+    c = np.minimum(au, tau)
+    return c * (au - 0.5 * c)
 
 
 def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_int
+from ._checks import _check_int, _check_real
 from .losses import RobustConfig, _weighted_design, _weighted_gradient, mallows_weights
 from .penalties import Penalty, dual_value, prox
 
@@ -50,10 +50,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step is not None and not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.step is not None:
+            _check_real("step", self.step, 0)
+        _check_real("tol", self.tol, 0)
         _check_int("max_iter", self.max_iter, 1)
         _check_int("seed", self.seed, 0, 2**64)
 
@@ -79,9 +78,10 @@ def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((xw.T @ xw) / x.shape[0])[-1])
 
 
-def _per_column(name: str, value, k: int) -> float | np.ndarray:
-    """A scalar ``value`` as a float (numpy broadcasts a scalar faster than an
-    array), else as a (k,) float64 array, one entry per column."""
+def _per_column(name: str, value, k: int, include_zero: bool) -> float | np.ndarray:
+    """``value``, finite and above 0 (or at least 0 if ``include_zero``), as a float if a
+    scalar (numpy broadcasts it faster than an array), else as a (k,) float64 array."""
+    _check_real(name, value, 0, include_low=include_zero)
     if np.ndim(value) == 0:
         return float(value)
     if np.shape(value) != (k,):
@@ -121,12 +121,8 @@ def proximal_gradient_fit_columns(
     minimiser (the KKT conditions of a convex loss and a norm penalty), so it
     is returned as exact zero with 0 iterations and never enters the loop."""
     q, k = x.shape[1], y.shape[1]
-    lam = _per_column("lambda", lam, k)
-    if not np.all(lam >= 0):
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    tau = cfg.tau if tau is None else _per_column("tau", tau, k)
-    if not np.all(np.isfinite(tau) & (tau > 0)):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    lam = _per_column("lambda", lam, k, include_zero=True)
+    tau = cfg.tau if tau is None else _per_column("tau", tau, k, include_zero=False)
     if start is None:
         start = np.zeros((q, k))
     else:

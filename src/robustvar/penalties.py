@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_int
+
 __all__ = [
     "Penalty",
     "dual_value",
@@ -29,17 +31,19 @@ class Penalty:
         if self.kind not in ("l1", "group"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.kind == "group":
-            if not self.groups:
+            groups = tuple(map(tuple, self.groups or ()))  # walked once: it may be an iterator
+            if not groups:
                 raise ValueError("group penalty requires groups")
-            groups = tuple(tuple(int(i) for i in g) for g in self.groups)
             seen: set[int] = set()
             for g in groups:
                 if not g:
                     raise ValueError("groups must be nonempty")
+                for i in g:
+                    _check_int("group index", i, 0)
                 if seen.intersection(g):
                     raise ValueError("groups must be disjoint")
                 seen.update(g)
-            object.__setattr__(self, "groups", groups)
+            object.__setattr__(self, "groups", tuple(tuple(map(int, g)) for g in groups))
         elif self.groups is not None:
             raise ValueError("groups are only valid with kind='group'")
 

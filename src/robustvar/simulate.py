@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _check_int
+from ._checks import _check_int, _check_real
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .var import VarModel, companion_matrix, spectral_radius
@@ -62,8 +62,7 @@ class StudentTNoise:
     df: float
 
     def __post_init__(self):
-        if not self.df > 2:
-            raise ValueError(f"df must exceed 2, got {self.df}")
+        _check_real("df", self.df, 2)
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,9 @@ class GaussianNoise:
     sd: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
-        sd = np.atleast_1d(np.asarray(self.sd, dtype=np.float64))
-        if np.any(sd < 0) or not np.all(np.isfinite(sd)):
-            raise ValueError("sd must be finite and nonnegative")
-        if np.ndim(self.sd) == 0:
-            object.__setattr__(self, "sd", float(self.sd))
-        else:
-            object.__setattr__(self, "sd", tuple(sd.tolist()))
+        _check_real("sd", self.sd, 0, include_low=True)
+        sd = np.asarray(self.sd, dtype=np.float64).tolist()  # a float, or a list of them
+        object.__setattr__(self, "sd", tuple(sd) if isinstance(sd, list) else sd)
 
 
 @dataclass(frozen=True)
@@ -90,15 +85,11 @@ class ScaleMixtureNoise:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        _check_real("components", self.components, 0, include_low=True)  # weights and sds
         components = tuple((float(w), float(sd)) for w, sd in self.components)
-        if not components:
-            raise ValueError("mixture needs at least one component")
         object.__setattr__(self, "components", components)
-        weights = np.array([w for w, _ in self.components])
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        if any(sd < 0 for _, sd in self.components):
-            raise ValueError("mixture sds must be nonnegative")
+        if abs(np.array([w for w, _ in components]).sum() - 1.0) > 1e-12:  # an empty one sums to 0
+            raise ValueError("mixture weights must sum to 1")
 
 
 NoiseSpec = StudentTNoise | GaussianNoise | ScaleMixtureNoise
@@ -147,6 +138,7 @@ class IntervalPartition:
 
     def __post_init__(self):
         _check_int("partition axis", self.axis, 0)
+        _check_real("breakpoints", self.breakpoints)
         bp = tuple(float(b) for b in self.breakpoints)
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
@@ -232,6 +224,7 @@ class ArchVarDgp:
     sigma_fn: object = None
 
     def __post_init__(self):
+        _check_real("b", self.b)
         b = np.asarray(self.b, dtype=np.float64)
         p = b.shape[0]
         if b.shape != (p, p):
@@ -249,8 +242,8 @@ class ArchVarDgp:
             raise ValueError("the parametric form requires both f and f_mats")
         if len(self.f) != p or len(self.f_mats) != p:
             raise ValueError("need one offset and one scale matrix per coordinate")
-        if any(not fj > 0 for fj in self.f):
-            raise ValueError("offsets f must be positive")
+        _check_real("f", self.f, 0)
+        _check_real("f_mats", self.f_mats)
         mats = tuple(np.asarray(m, dtype=np.float64) for m in self.f_mats)
         for m in mats:
             if m.shape != (p, p):
@@ -286,12 +279,11 @@ class UnivariateArchDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
-        if not self.d0 > 0:
-            raise ValueError(f"d0 must be positive, got {self.d0}")
+        _check_real("b", self.b)
+        _check_real("d0", self.d0, 0)
+        _check_real("d", self.d, 0, include_low=True)
         if len(self.d) != len(self.b):
             raise ValueError("need one variance coefficient per lag")
-        if any(dj < 0 for dj in self.d):
-            raise ValueError("variance coefficients must be nonnegative")
         _check_dimension(1, self.noise)
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         object.__setattr__(self, "d", tuple(float(v) for v in self.d))
@@ -326,6 +318,9 @@ class BekkVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
+        _check_real("b", self.b)
+        _check_real("c", self.c)
+        _check_real("f", self.f)
         b = np.asarray(self.b, dtype=np.float64)
         c = np.asarray(self.c, dtype=np.float64)
         f = np.asarray(self.f, dtype=np.float64)
@@ -372,6 +367,7 @@ class ThresholdVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
+        _check_real("models", self.models)
         mats = tuple(np.asarray(m, dtype=np.float64) for m in self.models)
         if not mats:
             raise ValueError("need at least one regime matrix")
@@ -379,8 +375,8 @@ class ThresholdVarDgp:
         if any(m.shape != (p, p) for m in mats):
             raise ValueError("all regime matrices must be p x p")
         _check_dimension(p, self.noise)
-        if isinstance(self.partition, IntervalPartition) and self.partition.axis >= p:
-            raise ValueError(f"partition axis {self.partition.axis} is out of range for p={p}")
+        if isinstance(self.partition, IntervalPartition):
+            _check_int("partition axis", self.partition.axis, 0, p)
         if len(mats) != self.partition.n_regions:
             raise ValueError(
                 f"{len(mats)} regime matrices but partition has "
@@ -409,12 +405,12 @@ class RcVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
+        _check_real("b", self.b)
+        _check_real("gamma_sd", self.gamma_sd, 0, include_low=True)
         b = np.asarray(self.b, dtype=np.float64)
         p = b.shape[0]
         if b.shape != (p, p):
             raise ValueError("b must be square")
-        if self.gamma_sd < 0:
-            raise ValueError("gamma_sd must be nonnegative")
         _check_dimension(p, self.noise)
         object.__setattr__(self, "b", b)
         r = self.stability_radius()
@@ -437,14 +433,6 @@ DgpSpec = (
 # generation
 
 
-def _check_er_settings(density: float, rho_target: float) -> None:
-    """Reject a sparse-transition density outside (0, 1] or a nonpositive target radius."""
-    if not 0 < density <= 1:
-        raise ValueError(f"density must be in (0, 1], got {density}")
-    if not rho_target > 0:
-        raise ValueError(f"rho_target must be positive, got {rho_target}")
-
-
 def gen_er_transition(
     p: int, density: float, rho_target: float, seed: int, max_attempts: int = 100
 ) -> np.ndarray:
@@ -456,7 +444,8 @@ def gen_er_transition(
     from the next substream.
     """
     _check_int("p", p, 1)
-    _check_er_settings(density, rho_target)
+    _check_real("density", density, 0, 1)
+    _check_real("rho_target", rho_target, 0)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(derive_seed(seed, attempt))
         mask = rng.random((p, p)) < density
@@ -474,13 +463,6 @@ def gen_er_transition(
         f"no draw with positive spectral radius in {max_attempts} attempts "
         f"(p={p}, density={density})"
     )
-
-
-def _check_length(n: int, burn_in: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
 
 
 def _first_bad_step(rows: np.ndarray) -> SimulationError | None:
@@ -508,7 +490,8 @@ def simulate_paths(
     included, and each returned path is a view of that output, so a caller
     bounds memory by the number of paths it stacks.
     """
-    _check_length(n, burn_in)
+    _check_int("n", n, 1)
+    _check_int("burn_in", burn_in, 0)
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} processes but {len(seeds)} seeds")
     if not all(isinstance(spec, VarTDgp) for spec in specs):
@@ -556,7 +539,8 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         if isinstance(path, SimulationError):
             raise path
         return path
-    _check_length(n, burn_in)
+    _check_int("n", n, 1)
+    _check_int("burn_in", burn_in, 0)
     steps = burn_in + n
     rng = np.random.default_rng(seed)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _check_int, _check_real
 from ._tables import read_table, write_table
 from .losses import RobustConfig
 from .optimizer import FitResult, OptimizerConfig, proximal_gradient_fit_columns
@@ -40,15 +41,13 @@ class VarModel:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        _check_real("coeffs", self.coeffs)
         coeffs = tuple(np.asarray(c, dtype=np.float64) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a VAR model needs at least one coefficient matrix")
         p = coeffs[0].shape[0]
-        for c in coeffs:
-            if c.shape != (p, p):
-                raise ValueError("all coefficient matrices must be square with equal size")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("coefficient matrices must be finite")
+        if any(c.shape != (p, p) for c in coeffs):
+            raise ValueError("all coefficient matrices must be square with equal size")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -79,14 +78,10 @@ class FitConfig:
     def __post_init__(self):
         if self.lambda_mode not in ("theory", "explicit"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.lambda_mode == "explicit" and not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"explicit lambda lam must be nonnegative and finite, got {self.lam}")
         if self.lambda_mode == "theory" and self.lam != 0:
-            raise ValueError(f"lam must be 0 in theory mode, got {self.lam}")
-        if self.lambda_mode == "theory" and not self.c > 0:
-            raise ValueError(f"theory-mode constant c must be positive, got {self.c}")
-        if self.lambda_mode == "theory" and not math.isfinite(self.c):
-            raise ValueError(f"theory-mode constant c must be finite, got {self.c}")
+            raise ValueError(f"lam must be 0 in theory mode, got {self.lam!r}")
+        _check_real("lam", self.lam, 0, include_low=True)
+        _check_real("c", self.c, 0)
 
     def lambda_for(self, p: int, d: int, n: int) -> float:
         """The tuning value for p columns at lag d with n usable rows."""
@@ -139,8 +134,7 @@ def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("data has no series column")
     if not np.all(np.isfinite(data)):
         raise ValueError("regression data must be finite")
-    if d < 1:
-        raise ValueError(f"lag must be at least 1, got {d}")
+    _check_int("lag", d, 1)
     n_rows = data.shape[0]
     if n_rows < d + 1:
         raise ValueError(f"need at least {d + 1} rows for lag {d}, got {n_rows}")

@@ -176,7 +176,7 @@ class TestFitCommand:
                     "--lambda", "nan", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError:")
-        assert "lam must be nonnegative and finite, got nan" in err
+        assert "lam must be real, finite and in [0, inf), got nan" in err
         assert not out.exists()
 
     def test_theory_mode_rejects_a_lambda(self, tmp_path, capsys):
@@ -191,7 +191,7 @@ class TestFitCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--c", "inf"], "theory-mode constant c must be finite, got inf"),
+        (["--c", "inf"], "c must be real, finite and in (0, inf), got inf"),
         (["--c", "1e308"], "theory lambda overflows at c = 1e+308"),
         (["--lag", "0"], "lag must be at least 1, got 0"),
     ], ids=["c_inf", "c_overflow", "lag0"])
@@ -241,10 +241,10 @@ class TestExperimentCommand:
         monkeypatch.setattr("robustvar.experiments.simulate", no_simulate)
         monkeypatch.setattr("robustvar.experiments.simulate_paths", no_simulate)
         spec_path = tmp_path / "exp.json"
-        for bad, message in [({"tol": 0}, "tol must be positive"),
+        for bad, message in [({"tol": 0}, "tol must be real, finite and in (0, inf), got 0"),
                              ({"n_grid": [1]}, "n must be at least 2"),
                              ({"n_grid": 30}, "n_grid must be a list of values, got 30"),
-                             ({"c": float("inf")}, "theory-mode constant c must be finite")]:
+                             ({"c": float("inf")}, "c must be real, finite and in (0, inf)")]:
             spec_path.write_text(json.dumps({**bad, "output_dir": str(tmp_path / "out")}))
             assert run(["experiment", "--spec", str(spec_path), "--workers", "2"]) == 1
             err = capsys.readouterr().err
@@ -319,6 +319,20 @@ class TestDiagnoseCommand:
         assert "keyword argument 'lam'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cutoff", [{"tau": 1e308, "b": 1e10, "lambda": 0.5},
+                                        {"tau": 1e200, "b": 1}])
+    def test_extreme_cutoff_fails_naming_tau_and_radius(self, tmp_path, capsys, cutoff):
+        # the default radius tau / (2 b_max) squared overflows; a RuntimeWarning
+        # raised as an error here would be reported as one instead of a ValueError
+        spec_path = tmp_path / "diag.json"
+        spec_path.write_text(json.dumps({"p": 5, "n": 20, "replications": 2, "burn_in": 20,
+                                         "n_directions": 5, **cutoff}))
+        out = tmp_path / "diag.csv"
+        assert run(["diagnose", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: radius ") and f"tau {cutoff['tau']:g}" in err
+        assert not out.exists() and not (tmp_path / "diag.csv.provenance.json").exists()
+
 
 REGIMES = [[[0.5]], [[-0.5]]]
 
@@ -369,9 +383,9 @@ class TestBadValues:
             ("diagnose", {"n_directions": 2.5}, "n_directions must be an integer"),
             ("diagnose", {"n": 1, "lambda": 0.5}, "n must be at least 2"),
             ("diagnose", {"p": 1, "lambda": 0.5}, "p must be at least 2, got 1"),
-            ("diagnose", {"c": -1}, "c must be positive, got -1"),
-            ("diagnose", {"lambda": float("nan")}, "lam must be nonnegative and finite, got nan"),
-            ("diagnose", {"c": float("inf")}, "c must be finite, got inf"),
+            ("diagnose", {"c": -1}, "c must be real, finite and in (0, inf), got -1"),
+            ("diagnose", {"lambda": float("nan")}, "lam must be real, finite and in [0, inf), got nan"),
+            ("diagnose", {"c": float("inf")}, "c must be real, finite and in (0, inf), got inf"),
             ("diagnose", {"c": 1e308}, "theory lambda overflows at c = 1e+308"),
         ],
         ids=["axis", "sd", "p", "n", "replications", "column", "n_directions",

@@ -1,6 +1,7 @@
 """Tests for the deviation and curvature condition diagnostics."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -355,8 +356,23 @@ class TestBlockedProbe:
     @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
     def test_radius_must_be_positive_and_finite(self, radius):
         reg, beta = heavy_tailed_regression(3, 20, seed=18)
-        with pytest.raises(ValueError, match="radius must be positive and finite"):
+        with pytest.raises(ValueError, match=r"^radius must be real, finite and in \(0, inf\), got "):
             re_check(reg, beta, RobustConfig(tau=1.0, b=3.0), radius=radius)
+
+    @pytest.mark.parametrize("tau, b, radius", [(1e308, 1e10, None), (1e200, 1.0, None),
+                                                (1.0, 1e200, None), (1.0, 3.0, 1e160),
+                                                (1.0, 3.0, 1e-170)])
+    def test_radius_out_of_float_range_raises(self, tau, b, radius):
+        reg, beta = heavy_tailed_regression(3, 20, seed=18)
+        message = rf"^radius \S+ at tau {re.escape(f'{tau:g}')} puts the sums out of float range$"
+        with pytest.raises(ValueError, match=message):
+            re_check(reg, beta, RobustConfig(tau=tau, b=b), radius=radius)
+
+    def test_huge_cutoff_within_float_range_is_probed(self):
+        # tau = b = 1e300 gives radius 0.5: the sums stay small, only tau * tau overflows
+        reg, beta = heavy_tailed_regression(3, 20, seed=18)
+        re_hat = re_check(reg, beta, RobustConfig(tau=1e300, b=1e300), n_directions=20)
+        assert 0.0 <= re_hat < math.inf
 
 
 CHECKS = {

@@ -123,6 +123,17 @@ class TestHuber:
         u = np.linspace(-100, 100, 1001)
         assert np.all(np.abs(huber_derivative(u, 1.5)) <= 1.5)
 
+    def test_quadratic_branch_is_half_square_bit_for_bit(self):
+        u = np.random.default_rng(2).normal(size=1000)
+        inside = np.abs(u) <= 1.5
+        np.testing.assert_array_equal(_huber(u, 1.5)[inside], (0.5 * u * u)[inside])
+
+    def test_no_unused_branch_overflows(self):
+        # each loss is finite, but tau * tau, or u * u, alone overflows
+        np.testing.assert_array_equal(_huber(np.array([0.5, -3.0]), np.float64(1e200)),
+                                      [0.125, 4.5])
+        np.testing.assert_array_equal(_huber(np.array([-1e200]), 1.0), [1e200])
+
     def test_continuity_at_cutoff(self):
         tau = 1.3
         eps = 1e-9

@@ -152,7 +152,7 @@ class TestProximalGradientFit:
 
     def test_nonpositive_step_rejected(self):
         for step in (0.0, -1.0):
-            with pytest.raises(ValueError, match="step must be positive"):
+            with pytest.raises(ValueError, match=r"^step must be real, finite and in \(0, inf\), got "):
                 OptimizerConfig(step=step)
 
     def test_lipschitz_bound_dominates_weighted_gram(self):
@@ -258,7 +258,7 @@ class TestProximalGradientFit:
 
     def test_nan_lambda_rejected(self):
         reg = Regression(np.ones(3), np.ones((3, 1)))
-        with pytest.raises(ValueError, match="lambda must be nonnegative, got nan"):
+        with pytest.raises(ValueError, match=r"^lambda must be real, finite and in \[0, inf\), got nan$"):
             proximal_gradient_fit_columns(
                 reg.x, reg.y[:, None], RobustConfig(tau=1, b=1), Penalty("l1"), np.nan,
                 OptimizerConfig(),
@@ -380,12 +380,12 @@ class TestPerColumnSettings:
             assert res.lambda_max == pytest.approx(one.lambda_max, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("lam, tau, message", [
-        ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], None, "lambda must be nonnegative"),
-        ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], None, "lambda must be nonnegative"),
+        ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], None, r"^lambda must be real, finite and in \[0, inf\), got -0.1$"),
+        ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], None, r"^lambda must be real, finite and in \[0, inf\), got nan$"),
         ([0.1] * 5, None, r"lambda must be a scalar or have shape \(6,\), got \(5,\)"),
-        (0.1, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], "tau must be positive and finite"),
-        (0.1, [1.0, 1.0, np.inf, 1.0, 1.0, 1.0], "tau must be positive and finite"),
-        (0.1, np.nan, "tau must be positive and finite, got nan"),
+        (0.1, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], r"^tau must be real, finite and in \(0, inf\), got 0.0$"),
+        (0.1, [1.0, 1.0, np.inf, 1.0, 1.0, 1.0], r"^tau must be real, finite and in \(0, inf\), got inf$"),
+        (0.1, np.nan, r"^tau must be real, finite and in \(0, inf\), got nan$"),
         (0.1, [1.0] * 5, r"tau must be a scalar or have shape \(6,\), got \(5,\)"),
     ], ids=["negative", "nan", "short", "tau_zero", "tau_inf", "tau_nan", "tau_short"])
     def test_bad_lambda_vector_rejected(self, lam, tau, message):

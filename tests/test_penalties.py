@@ -69,6 +69,15 @@ class TestPenaltyValue:
             Penalty("group", groups=None)
         with pytest.raises(ValueError):
             Penalty("l1", groups=((0,),))
+        with pytest.raises(ValueError, match="^group penalty requires groups$"):
+            Penalty("group", groups=(g for g in ()))
+
+    def test_groups_may_be_iterators(self):
+        pen = Penalty("group", groups=(iter(g) for g in ((0, 1), (2,))))
+        assert pen.groups == ((0, 1), (2,))
+        assert all(type(i) is int for g in pen.groups for i in g)
+        with pytest.raises(ValueError, match="^group index must be a nonnegative integer, got 1.5$"):
+            Penalty("group", groups=(iter(g) for g in ((0, 1.5),)))
 
 
 class TestDualValue:

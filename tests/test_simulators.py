@@ -434,7 +434,7 @@ class TestPartitions:
     def test_axis_checked_against_dimension(self):
         regimes = (np.eye(2) * 0.5, np.eye(2) * 0.3)
         ThresholdVarDgp(models=regimes, partition=IntervalPartition(axis=1, breakpoints=(0.0,)))
-        with pytest.raises(ValueError, match="partition axis 2 is out of range for p=2"):
+        with pytest.raises(ValueError, match=r"^partition axis must be in \[0, 2\), got 2$"):
             ThresholdVarDgp(models=regimes, partition=IntervalPartition(axis=2, breakpoints=(0.0,)))
 
 

@@ -327,7 +327,7 @@ class TestFitVar:
 
     @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
     def test_explicit_lambda_must_be_finite_and_nonnegative(self, lam):
-        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+        with pytest.raises(ValueError, match=r"^lam must be real, finite and in \[0, inf\), got "):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=lam)
 
     @pytest.mark.parametrize("lam", [0.3, -0.1, np.nan])
@@ -336,7 +336,7 @@ class TestFitVar:
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lam=lam)
 
     def test_theory_c_must_give_a_finite_lambda(self):
-        with pytest.raises(ValueError, match=r"^theory-mode constant c must be finite, got inf$"):
+        with pytest.raises(ValueError, match=r"^c must be real, finite and in \(0, inf\), got inf$"):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), c=math.inf)
         # a finite c whose theory value overflows fails when the value is taken
         fit = FitConfig(robust=RobustConfig(tau=1.0, b=3.0), c=1e308)
