@@ -1,5 +1,7 @@
 """The checks every setting goes through where it enters; a bad value raises one
-``ValueError`` whose message starts with the setting's name."""
+``ValueError`` whose message starts with the setting's name.  ``_check_int`` and
+``_check_real`` check a value's kind and range; ``_check_shape`` also checks the
+shape of a matrix or vector setting and returns it as a float64 array."""
 
 import math
 import sys
@@ -37,3 +39,25 @@ def _check_real(name: str, value, low=-math.inf, high=math.inf, *, include_low=F
         return
     interval = f"{'[' if include_low else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
     raise ValueError(f"{name} must be real, finite and in {interval}, got {value!r}")
+
+
+def _check_shape(name: str, value, shape: tuple, low=-math.inf, high=math.inf, *,
+                 include_low=False) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``, its entries checked as ``_check_real``
+    checks them.  Each entry of ``shape`` is a length or a label, and every use of a
+    label has the same length, so ``("p", "p")`` is a square matrix; no length may be 0."""
+    # the nest is walked before numpy converts it, so that no bool or string passes
+    _check_real(name, value, low, high, include_low=include_low)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except ValueError:  # a ragged nest
+        arr = None
+    sizes: dict = {}
+    if arr is None or arr.ndim != len(shape) or any(
+        n == 0 or n != (sizes.setdefault(want, n) if isinstance(want, str) else want)
+        for n, want in zip(arr.shape, shape)
+    ):
+        form = f"({', '.join(map(str, shape))}{',' if len(shape) == 1 else ''})"
+        got = "a ragged nest" if arr is None else f"shape {arr.shape}" if arr.ndim else repr(value)
+        raise ValueError(f"{name} must be a nonempty array of shape {form}, got {got}")
+    return arr

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._checks import _check_int, _check_real
+from ._checks import _check_int, _check_real, _check_shape
 from ._tables import format_cell, write_table
 from .losses import (
     Regression,
@@ -59,12 +59,7 @@ class DiagnosticsReport:
 def _at_truth(x: np.ndarray, beta_star, cfg: RobustConfig) -> tuple[np.ndarray, np.ndarray]:
     """The truth as float64, checked once where it enters (shape (q,), finite),
     and the Mallows weights of ``x``."""
-    beta_star = np.asarray(beta_star, dtype=np.float64)
-    if beta_star.shape != (x.shape[1],):
-        raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({x.shape[1]},)")
-    if not np.isfinite(beta_star).all():
-        raise ValueError("beta_star must be finite")
-    return beta_star, mallows_weights(x, cfg)
+    return _check_shape("beta_star", beta_star, x.shape[1:]), mallows_weights(x, cfg)
 
 
 def deviation_check(
@@ -123,6 +118,7 @@ def _re_probe(
     _check_real("radius", radius, 0)
     _check_int("n_directions", n_directions, 1)
     _check_int("sparsity_s", sparsity_s, 1)
+    _check_int("seed", seed, 0)
     beta_star, w = truth
     n, q = x.shape
     xw = x * w[:, None]

@@ -36,7 +36,7 @@ from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
 )
-from .var import FitConfig, VarModel, estimation_error
+from .var import FitConfig, VarModel
 
 __all__ = [
     "CALIBRATED_C",
@@ -221,11 +221,13 @@ def case3(p: int = 10, seed: int = 0, replications: int = 20) -> ExperimentSpec:
     )
 
 
-def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_seed: int,
+def _run_cell_rep(spec: ExperimentSpec, fit: FitConfig, lams: list[float],
+                  task: tuple[int, float, int, int], rep_seed: int,
                   dgp: VarTDgp, data: np.ndarray | SimulationError) -> list[dict]:
-    """All rows for one (grid cell, replication): one row per tau level.  The
-    levels share the path's lag-1 design, so they are fitted in one tau-major
-    call of len(tau_grid) * p columns, every column from zero.
+    """All rows for one (grid cell, replication): one row per tau level, fitted
+    with ``fit`` (its tau replaced by each level's) and the level's tuning value
+    in ``lams``.  The levels share the path's lag-1 design, so they are fitted in
+    one tau-major call of len(tau_grid) * p columns, every column from zero.
     ``data`` is the attempt-0 path or its error; a non-finite path is retried
     alone, on the next substreams."""
     cell_index, df, n, rep = task
@@ -241,8 +243,6 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
         except SimulationError as exc:
             data = exc
     p, levels = spec.p, len(spec.tau_grid)
-    fits = [spec.fit_config(tau) for tau in spec.tau_grid]
-    lams = [fit.lambda_for(p, 1, n - 1) for fit in fits]
     rows = [{"case": spec.case, "p": p, "n": n, "d": 1, "df": df, "tau": tau, "lambda": lam,
              "rep": rep, "seed": rep_seed} for tau, lam in zip(spec.tau_grid, lams)]
     if data is None:
@@ -251,22 +251,25 @@ def _run_cell_rep(spec: ExperimentSpec, task: tuple[int, float, int, int], rep_s
         return rows
     # the path was checked finite where it was drawn
     results = proximal_gradient_fit_columns(
-        data[:-1], np.tile(data[1:], levels), fits[0].robust, fits[0].penalty,
-        np.repeat(lams, p), fits[0].opt, tau=np.repeat(spec.tau_grid, p),
+        data[:-1], np.tile(data[1:], levels), fit.robust, fit.penalty,
+        np.repeat(lams, p), fit.opt, tau=np.repeat(spec.tau_grid, p),
     )
-    for row, i in zip(rows, range(0, levels * p, p)):
+    # each level's estimation error (as ``estimation_error`` scores it): the
+    # largest column norm of its block of the tau-major estimate minus the truth
+    est = np.column_stack([r.beta_hat for r in results])
+    norms = np.linalg.norm(est - np.tile(dgp.model.coeffs[0], levels), axis=0)
+    for row, i, error in zip(rows, range(0, levels * p, p), norms.reshape(levels, p).max(axis=1)):
         level = results[i:i + p]
-        est = VarModel((np.column_stack([r.beta_hat for r in level]),))
         row.update(
-            error=estimation_error(est, dgp.model),
+            error=float(error),
             iterations=max(r.iterations for r in level),
             converged=all(r.converged for r in level),
         )
     return rows
 
 
-def _run_stack(spec: ExperimentSpec, tasks: list[tuple[int, float, int, int]],
-               n: int) -> list[list[dict]]:
+def _run_stack(spec: ExperimentSpec, fit: FitConfig, lams: list[float],
+               tasks: list[tuple[int, float, int, int]], n: int) -> list[list[dict]]:
     """The rows of each of a list of tasks of one n, in task order, their
     attempt-0 paths drawn by one stacked recursion."""
     rep_seeds = [derive_seed(spec.seed, cell_index, rep) for cell_index, _, _, rep in tasks]
@@ -274,20 +277,24 @@ def _run_stack(spec: ExperimentSpec, tasks: list[tuple[int, float, int, int]],
             for (_, df, _, _), rep_seed in zip(tasks, rep_seeds)]
     paths = simulate_paths(dgps, n, spec.burn_in,
                            [derive_seed(rep_seed, 1, 0) for rep_seed in rep_seeds])
-    return [_run_cell_rep(spec, task, rep_seed, dgp, data)
+    return [_run_cell_rep(spec, fit, lams, task, rep_seed, dgp, data)
             for task, rep_seed, dgp, data in zip(tasks, rep_seeds, dgps, paths)]
 
 
 def _run_batch(args: tuple[ExperimentSpec, list[tuple[int, float, int, int]]]) -> list[list[dict]]:
     """The rows of each of a list of (cell index, df, n, rep) tasks, in task
     order.  Tasks that share an n run in stacks (see ``_stacks``), each drawn
-    and fitted before the next is drawn."""
+    and fitted before the next is drawn.  The fit settings of each tau, and
+    their tuning values at each n, are built once per batch."""
     spec, tasks = args
+    fits = [spec.fit_config(tau) for tau in spec.tau_grid]
     rows: list[list[dict]] = [[] for _ in tasks]
     for n in dict.fromkeys(n for _, _, n, _ in tasks):
+        lams = [fit.lambda_for(spec.p, 1, n - 1) for fit in fits]
         group = [i for i, task in enumerate(tasks) if task[2] == n]
         for stack in _stacks(group, spec.burn_in + n, spec.p):
-            for i, task_rows in zip(stack, _run_stack(spec, [tasks[i] for i in stack], n)):
+            stack_rows = _run_stack(spec, fits[0], lams, [tasks[i] for i in stack], n)
+            for i, task_rows in zip(stack, stack_rows):
                 rows[i] = task_rows
     return rows
 
@@ -347,6 +354,7 @@ def run_deviation_experiment(
     lag-1 tuning value: ``lam`` exactly if given, else the theory value at ``c``.
     """
     _check_generator(p, (n,), replications, burn_in, density, rho_target)
+    _check_int("seed", seed)
     _check_int("column", column, 0, p)
     _check_int("n_directions", n_directions, 1)
     mode, fixed = ("theory", 0.0) if lam is None else ("explicit", lam)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _check_real
+from ._checks import _check_real, _check_shape
 
 __all__ = [
     "RobustConfig",
@@ -48,10 +48,7 @@ class RobustConfig:
         if self.weight_form not in ("linear", "quadratic"):
             raise ValueError(f"unknown weight_form {self.weight_form!r}")
         if self.shrinkage is not None:
-            _check_real("shrinkage", self.shrinkage)
-            m = np.asarray(self.shrinkage, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("shrinkage must be a square matrix")
+            m = _check_shape("shrinkage", self.shrinkage, ("q", "q"))
             eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
             if eigs[0] <= 0:
                 raise ValueError(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_int, _check_real
+from ._checks import _check_int, _check_real, _check_shape
 from .losses import RobustConfig, _weighted_design, _weighted_gradient, mallows_weights
 from .penalties import Penalty, dual_value, prox
 
@@ -81,12 +81,10 @@ def _lipschitz_bound(x: np.ndarray, w: np.ndarray) -> float:
 def _per_column(name: str, value, k: int, include_zero: bool) -> float | np.ndarray:
     """``value``, finite and above 0 (or at least 0 if ``include_zero``), as a float if a
     scalar (numpy broadcasts it faster than an array), else as a (k,) float64 array."""
-    _check_real(name, value, 0, include_low=include_zero)
-    if np.ndim(value) == 0:
+    if not (isinstance(value, (list, tuple)) or np.ndim(value)):
+        _check_real(name, value, 0, include_low=include_zero)
         return float(value)
-    if np.shape(value) != (k,):
-        raise ValueError(f"{name} must be a scalar or have shape ({k},), got {np.shape(value)}")
-    return np.asarray(value, dtype=np.float64)
+    return _check_shape(name, value, (k,), 0, include_low=include_zero)
 
 
 def _take(value: float | np.ndarray, index: np.ndarray) -> float | np.ndarray:
@@ -123,12 +121,7 @@ def proximal_gradient_fit_columns(
     q, k = x.shape[1], y.shape[1]
     lam = _per_column("lambda", lam, k, include_zero=True)
     tau = cfg.tau if tau is None else _per_column("tau", tau, k, include_zero=False)
-    if start is None:
-        start = np.zeros((q, k))
-    else:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (q, k) or not np.all(np.isfinite(start)):
-            raise ValueError(f"start must be a finite ({q}, {k}) array, got shape {start.shape}")
+    start = np.zeros((q, k)) if start is None else _check_shape("start", start, (q, k))
     w = mallows_weights(x, cfg)
     lip = _lipschitz_bound(x, w)
     if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1

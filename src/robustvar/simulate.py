@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import _check_int, _check_real
+from ._checks import _check_int, _check_real, _check_shape
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
 from .var import VarModel, companion_matrix, spectral_radius
@@ -51,6 +51,12 @@ class SimulationError(RuntimeError):
     """A simulated path became non-finite; retry with the next substream."""
 
 
+def _require_stable(radius: float, what: str) -> None:
+    """Raise :class:`StabilityError` naming ``what`` unless the stability ``radius`` is below 1."""
+    if radius >= 1:
+        raise StabilityError(f"{what} {radius:.6f} >= 1")
+
+
 # ---------------------------------------------------------------------------
 # noise specifications
 
@@ -73,8 +79,8 @@ class GaussianNoise:
     sd: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
-        _check_real("sd", self.sd, 0, include_low=True)
-        sd = np.asarray(self.sd, dtype=np.float64).tolist()  # a float, or a list of them
+        shape = ("p",) if isinstance(self.sd, (list, tuple)) or np.ndim(self.sd) else ()
+        sd = _check_shape("sd", self.sd, shape, 0, include_low=True).tolist()  # a float or a list
         object.__setattr__(self, "sd", tuple(sd) if isinstance(sd, list) else sd)
 
 
@@ -85,10 +91,9 @@ class ScaleMixtureNoise:
     components: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        _check_real("components", self.components, 0, include_low=True)  # weights and sds
-        components = tuple((float(w), float(sd)) for w, sd in self.components)
-        object.__setattr__(self, "components", components)
-        if abs(np.array([w for w, _ in components]).sum() - 1.0) > 1e-12:  # an empty one sums to 0
+        pairs = _check_shape("components", self.components, ("k", 2), 0, include_low=True)
+        object.__setattr__(self, "components", tuple(map(tuple, pairs.tolist())))
+        if abs(pairs[:, 0].sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
 
 
@@ -131,18 +136,18 @@ class SignPartition:
 
 @dataclass(frozen=True)
 class IntervalPartition:
-    """Axis-aligned slabs: region j is breakpoints[j-1] <= z[axis] < breakpoints[j]."""
+    """Axis-aligned slabs: region j is breakpoints[j-1] <= z[axis] < breakpoints[j];
+    at least one breakpoint, so at least two regions."""
 
     axis: int
     breakpoints: tuple[float, ...]
 
     def __post_init__(self):
         _check_int("partition axis", self.axis, 0)
-        _check_real("breakpoints", self.breakpoints)
-        bp = tuple(float(b) for b in self.breakpoints)
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        bp = _check_shape("breakpoints", self.breakpoints, ("n",))
+        if (np.diff(bp) <= 0).any():
             raise ValueError("breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
 
     @property
     def n_regions(self) -> int:
@@ -193,9 +198,7 @@ class VarTDgp:
 
     def __post_init__(self):
         _check_dimension(self.model.p, self.noise)
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"companion spectral radius {r:.6f} >= 1")
+        _require_stable(self.stability_radius(), "companion spectral radius")
 
     def stability_radius(self) -> float:
         return spectral_radius(companion_matrix(self.model))
@@ -224,37 +227,24 @@ class ArchVarDgp:
     sigma_fn: object = None
 
     def __post_init__(self):
-        _check_real("b", self.b)
-        b = np.asarray(self.b, dtype=np.float64)
+        b = _check_shape("b", self.b, ("p", "p"))
         p = b.shape[0]
-        if b.shape != (p, p):
-            raise ValueError("b must be square")
         _check_dimension(p, self.noise)
         object.__setattr__(self, "b", b)
         if self.sigma_fn is not None:
             if self.f is not None or self.f_mats is not None:
                 raise ValueError("give either (f, f_mats) or sigma_fn, not both")
-            r = self.stability_radius()
-            if r >= 1:
-                raise StabilityError(f"spectral radius {r:.6f} >= 1")
+            _require_stable(self.stability_radius(), "spectral radius")
             return
         if self.f is None or self.f_mats is None:
             raise ValueError("the parametric form requires both f and f_mats")
-        if len(self.f) != p or len(self.f_mats) != p:
-            raise ValueError("need one offset and one scale matrix per coordinate")
-        _check_real("f", self.f, 0)
-        _check_real("f_mats", self.f_mats)
-        mats = tuple(np.asarray(m, dtype=np.float64) for m in self.f_mats)
-        for m in mats:
-            if m.shape != (p, p):
-                raise ValueError("scale matrices must be p x p")
-            if np.linalg.eigvalsh((m + m.T) / 2.0)[0] < -1e-10:
-                raise ValueError("scale matrices must be positive semidefinite")
-        object.__setattr__(self, "f", tuple(float(v) for v in self.f))
-        object.__setattr__(self, "f_mats", mats)
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"radius(B)^2 + max radius(F_j) = {r:.6f} >= 1")
+        f = _check_shape("f", self.f, (p,), 0)
+        mats = _check_shape("f_mats", self.f_mats, (p, p, p))
+        if np.linalg.eigvalsh((mats + mats.transpose(0, 2, 1)) / 2.0)[:, 0].min() < -1e-10:
+            raise ValueError("scale matrices must be positive semidefinite")
+        object.__setattr__(self, "f", tuple(f.tolist()))
+        object.__setattr__(self, "f_mats", tuple(mats))
+        _require_stable(self.stability_radius(), "radius(B)^2 + max radius(F_j) =")
 
     def stability_radius(self) -> float:
         if self.sigma_fn is not None:
@@ -279,24 +269,17 @@ class UnivariateArchDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
-        _check_real("b", self.b)
+        b = _check_shape("b", self.b, ("lags",))
         _check_real("d0", self.d0, 0)
-        _check_real("d", self.d, 0, include_low=True)
-        if len(self.d) != len(self.b):
-            raise ValueError("need one variance coefficient per lag")
+        d = _check_shape("d", self.d, b.shape, 0, include_low=True)
         _check_dimension(1, self.noise)
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        companion_r = spectral_radius(self.companion())
-        if companion_r >= 1:
-            raise StabilityError(f"companion spectral radius {companion_r:.6f} >= 1")
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"radius(bb' + diag(d)) = {r:.6f} >= 1")
+        object.__setattr__(self, "b", tuple(b.tolist()))
+        object.__setattr__(self, "d", tuple(d.tolist()))
+        _require_stable(spectral_radius(self.companion()), "companion spectral radius")
+        _require_stable(self.stability_radius(), "radius(bb' + diag(d)) =")
 
     def companion(self) -> np.ndarray:
-        model = VarModel(tuple(np.array([[bj]]) for bj in self.b))
-        return companion_matrix(model)
+        return companion_matrix(VarModel(np.reshape(self.b, (-1, 1, 1))))
 
     def stability_radius(self) -> float:
         b_vec = np.asarray(self.b)
@@ -318,24 +301,16 @@ class BekkVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
-        _check_real("b", self.b)
-        _check_real("c", self.c)
-        _check_real("f", self.f)
-        b = np.asarray(self.b, dtype=np.float64)
-        c = np.asarray(self.c, dtype=np.float64)
-        f = np.asarray(self.f, dtype=np.float64)
-        p = b.shape[0]
-        if b.shape != (p, p) or c.shape != (p, p) or f.shape != (p, p):
-            raise ValueError("b, c, f must all be p x p")
-        _check_dimension(p, self.noise)
+        b = _check_shape("b", self.b, ("p", "p"))
+        c = _check_shape("c", self.c, b.shape)
+        f = _check_shape("f", self.f, b.shape)
+        _check_dimension(b.shape[0], self.noise)
         if np.linalg.eigvalsh((c + c.T) / 2.0)[0] <= 0:
             raise ValueError("c must be positive definite")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f", f)
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"radius(BB' + FF') = {r:.6f} >= 1")
+        _require_stable(self.stability_radius(), "radius(BB' + FF') =")
 
     def stability_radius(self) -> float:
         return spectral_radius(self.b @ self.b.T + self.f @ self.f.T)
@@ -367,13 +342,8 @@ class ThresholdVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
-        _check_real("models", self.models)
-        mats = tuple(np.asarray(m, dtype=np.float64) for m in self.models)
-        if not mats:
-            raise ValueError("need at least one regime matrix")
-        p = mats[0].shape[0]
-        if any(m.shape != (p, p) for m in mats):
-            raise ValueError("all regime matrices must be p x p")
+        mats = _check_shape("models", self.models, ("regions", "p", "p"))
+        p = mats.shape[1]
         _check_dimension(p, self.noise)
         if isinstance(self.partition, IntervalPartition):
             _check_int("partition axis", self.partition.axis, 0, p)
@@ -382,10 +352,8 @@ class ThresholdVarDgp:
                 f"{len(mats)} regime matrices but partition has "
                 f"{self.partition.n_regions} regions"
             )
-        object.__setattr__(self, "models", mats)
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"max regime operator norm {r:.6f} >= 1")
+        object.__setattr__(self, "models", tuple(mats))
+        _require_stable(self.stability_radius(), "max regime operator norm")
 
     def stability_radius(self) -> float:
         return max(float(np.linalg.norm(m, 2)) for m in self.models)
@@ -405,17 +373,11 @@ class RcVarDgp:
     noise: NoiseSpec = GaussianNoise(1.0)
 
     def __post_init__(self):
-        _check_real("b", self.b)
+        b = _check_shape("b", self.b, ("p", "p"))
         _check_real("gamma_sd", self.gamma_sd, 0, include_low=True)
-        b = np.asarray(self.b, dtype=np.float64)
-        p = b.shape[0]
-        if b.shape != (p, p):
-            raise ValueError("b must be square")
-        _check_dimension(p, self.noise)
+        _check_dimension(b.shape[0], self.noise)
         object.__setattr__(self, "b", b)
-        r = self.stability_radius()
-        if r >= 1:
-            raise StabilityError(f"second-moment spectral radius {r:.6f} >= 1")
+        _require_stable(self.stability_radius(), "second-moment spectral radius")
 
     def stability_radius(self) -> float:
         p = self.b.shape[0]
@@ -446,6 +408,7 @@ def gen_er_transition(
     _check_int("p", p, 1)
     _check_real("density", density, 0, 1)
     _check_real("rho_target", rho_target, 0)
+    _check_int("seed", seed)
     for attempt in range(max_attempts):
         rng = np.random.default_rng(derive_seed(seed, attempt))
         mask = rng.random((p, p)) < density
@@ -494,6 +457,8 @@ def simulate_paths(
     _check_int("burn_in", burn_in, 0)
     if len(specs) != len(seeds):
         raise ValueError(f"{len(specs)} processes but {len(seeds)} seeds")
+    for seed in seeds:
+        _check_int("seed", seed, 0)
     if not all(isinstance(spec, VarTDgp) for spec in specs):
         raise TypeError("simulate_paths takes VarTDgp processes only")
     if not specs:
@@ -541,6 +506,7 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         return path
     _check_int("n", n, 1)
     _check_int("burn_in", burn_in, 0)
+    _check_int("seed", seed, 0)
     steps = burn_in + n
     rng = np.random.default_rng(seed)
 

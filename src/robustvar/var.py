@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _check_int, _check_real
+from ._checks import _check_int, _check_real, _check_shape
 from ._tables import read_table, write_table
 from .losses import RobustConfig
 from .optimizer import FitResult, OptimizerConfig, proximal_gradient_fit_columns
@@ -41,14 +41,8 @@ class VarModel:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        _check_real("coeffs", self.coeffs)
-        coeffs = tuple(np.asarray(c, dtype=np.float64) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("a VAR model needs at least one coefficient matrix")
-        p = coeffs[0].shape[0]
-        if any(c.shape != (p, p) for c in coeffs):
-            raise ValueError("all coefficient matrices must be square with equal size")
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = _check_shape("coeffs", self.coeffs, ("d", "p", "p"))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def p(self) -> int:
@@ -113,11 +107,7 @@ def companion_matrix(model: VarModel) -> np.ndarray:
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("spectral_radius requires a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("spectral_radius requires a finite matrix")
+    a = _check_shape("matrix", a, ("n", "n"))
     try:
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR iteration failed to converge

@@ -1,7 +1,8 @@
-"""One rule for every setting: ``_check_real`` and ``_check_int`` reject a bad
-value where it enters, with a ``ValueError`` that starts with its name."""
+"""One rule for every setting: ``_check_real``, ``_check_int`` and ``_check_shape``
+reject a bad value where it enters, with a ``ValueError`` that starts with its name."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from robustvar import (
     re_check,
     simulate,
     simulate_paths,
+    spectral_radius,
 )
 from robustvar import _checks
-from robustvar._checks import _check_real
+from robustvar._checks import _check_real, _check_shape
+from robustvar.experiments import run_deviation_experiment
 from robustvar.optimizer import proximal_gradient_fit_columns
 
 CFG = RobustConfig(tau=1.0, b=3.0)
@@ -158,3 +161,127 @@ class TestCheckReal:
         monkeypatch.setattr(_checks, "np", TypesOnly())
         for value in (1.0, 3, np.float64(0.5), np.int64(7)):
             _check_real("tau", value, 0)
+
+
+# (setting, build, name, shape, bad values): build(v) puts v where the setting enters, as
+# its whole value.  The bad values are, where the setting can take one, a scalar, the
+# wrong number of dimensions, a ragged nest, a wrong length and an empty value.
+MATRIX_BAD = [0.3, [0.3], [[0.3, 0.0], [0.0]], [[0.3, 0.0]], []]
+SHAPES = [
+    ("coeffs", VarModel, "coeffs", "(d, p, p)",
+     [0.5, (1.0,), [[0.5]], ([[0.5, 0.0], [0.0]],), (np.eye(2), np.eye(3)), ([[0.5, 0.0]],),
+      ()]),
+    ("shrinkage", lambda v: RobustConfig(1.0, 3.0, shrinkage=v), "shrinkage", "(q, q)",
+     MATRIX_BAD),
+    ("sd", GaussianNoise, "sd", "(p,)", [((1.0, 2.0),), ((1.0,), 2.0), ()]),
+    ("components", ScaleMixtureNoise, "components", "(k, 2)",
+     [1.0, (0.5, 0.5), ((0.5, 1.0), (0.5,)), ((0.5, 1.0, 3.0), (0.5, 1.0, 2.0)), ()]),
+    ("breakpoints", lambda v: IntervalPartition(0, v), "breakpoints", "(n,)",
+     [0.5, ((0.0, 1.0),), ((0.0,), 1.0), ()]),
+    ("arch_b", lambda v: ArchVarDgp(b=v, f=(1.0,), f_mats=([[0.1]],)), "b", "(p, p)",
+     MATRIX_BAD),
+    ("arch_f", lambda v: ArchVarDgp(b=np.eye(2) * 0.3, f=v, f_mats=(np.eye(2) * 0.1,) * 2),
+     "f", "(2,)", [1.0, ((1.0, 1.0),), ((1.0,), 1.0), (1.0, 1.0, 1.0), ()]),
+    ("arch_f_mats", lambda v: ArchVarDgp(b=[[0.3]], f=(1.0,), f_mats=v), "f_mats", "(1, 1, 1)",
+     [0.1, [[0.1]], ([[0.1]], [0.1]), ([[0.1]], [[0.1]]), ()]),
+    ("uarch_b", lambda v: UnivariateArchDgp(b=v, d0=1.0, d=(0.1,)), "b", "(lags,)",
+     [0.3, ((0.3,),), ((0.3,), 0.1), ()]),
+    ("uarch_d", lambda v: UnivariateArchDgp(b=(0.3,), d0=1.0, d=v), "d", "(1,)",
+     [0.1, ((0.1,),), ((0.1,), 0.1), (0.1, 0.1), ()]),
+    ("bekk_b", lambda v: BekkVarDgp(b=v, c=[[1.0]], f=[[0.1]]), "b", "(p, p)", MATRIX_BAD),
+    ("bekk_c", lambda v: BekkVarDgp(b=[[0.3]], c=v, f=[[0.1]]), "c", "(1, 1)", MATRIX_BAD),
+    ("bekk_f", lambda v: BekkVarDgp(b=[[0.3]], c=[[1.0]], f=v), "f", "(1, 1)", MATRIX_BAD),
+    ("threshold_models", lambda v: ThresholdVarDgp(models=v), "models", "(regions, p, p)",
+     [0.5, np.eye(2) * 0.1, ([[0.3]], [[0.3, 0.0]]), ([[0.3, 0.0]], [[0.3, 0.0]]), ()]),
+    ("rc_b", lambda v: RcVarDgp(b=v, gamma_sd=0.1), "b", "(p, p)", MATRIX_BAD),
+    ("beta_star", lambda v: re_check(REG, v, CFG, n_directions=2), "beta_star", "(3,)",
+     [0.0, np.zeros((3, 1)), [[0.0], 0.0, 0.0], np.zeros(2), []]),
+    ("spectral_radius", spectral_radius, "matrix", "(n, n)", MATRIX_BAD),
+    ("solver_lambda", lambda v: solve(lam=v), "lambda", "(1,)",
+     [[[0.1]], [[0.1], 0.1], [0.1, 0.1], []]),
+    ("solver_tau", lambda v: solve(tau=v), "tau", "(1,)", [[[1.0]], [[1.0], 1.0], [1.0, 1.0], []]),
+    ("start", lambda v: proximal_gradient_fit_columns(X, REG.y[:, None], CFG, Penalty("l1"), 0.1,
+                                                      OptimizerConfig(), v), "start", "(3, 1)",
+     [0.0, np.zeros(3), [[0.0], [0.0, 0.0], [0.0]], np.zeros((3, 2)), []]),
+]
+
+
+@pytest.mark.parametrize("build, name, shape, bad",
+                         [case[1:] for case in SHAPES], ids=[case[0] for case in SHAPES])
+def test_every_array_setting_rejects_bad_shapes_naming_it(build, name, shape, bad):
+    for value in bad:
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        expected = f"{name} must be a nonempty array of shape {shape}, got "
+        assert str(exc.value).startswith(expected), (value, str(exc.value))
+
+
+# (entry point, call, bad seeds): simulating draws from a nonnegative seed; a seed that
+# is only the root of derived streams may be any integer
+SEEDS = [
+    ("simulate", lambda v: simulate(DGP, 5, 0, v), [-1, 1.5, True, "1", None]),
+    ("simulate_nonlinear", lambda v: simulate(RcVarDgp(b=[[0.3]], gamma_sd=0.1), 5, 0, v),
+     [-1, 1.5, True, "1", None]),
+    ("simulate_paths", lambda v: simulate_paths([DGP, DGP], 5, 0, [0, v]),
+     [-1, 1.5, True, "1", None]),
+    ("re_check", lambda v: re_check(REG, np.zeros(3), CFG, n_directions=2, seed=v),
+     [-1, 1.5, True, "1", None]),
+    ("gen_er_transition", lambda v: gen_er_transition(3, 0.5, 0.5, v), [1.5, True, "1", None]),
+    ("run_deviation_experiment",
+     lambda v: run_deviation_experiment(p=3, n=10, df=3.0, tau=1.0, b=3.0, c=0.45,
+                                        replications=1, seed=v, burn_in=5),
+     [1.5, True, "1", None]),
+]
+
+
+@pytest.mark.parametrize("call, bad", [case[1:] for case in SEEDS],
+                         ids=[case[0] for case in SEEDS])
+def test_every_seed_is_checked_where_it_enters(call, bad):
+    for value in bad:
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value).startswith("seed must be "), (value, str(exc.value))
+
+
+def test_a_root_seed_may_be_negative():
+    assert np.array_equal(gen_er_transition(3, 0.5, 0.5, -1),
+                          gen_er_transition(3, 0.5, 0.5, 2**64 - 1))
+
+
+class TestCheckShape:
+    @pytest.mark.parametrize("value", [[[1, 2], [3, 4]], (np.array([1.0, 2.0]), [3, 4]),
+                                       np.arange(4).reshape(2, 2), (np.ones(2, np.float32),) * 2])
+    def test_returns_a_float64_array_of_the_shape(self, value):
+        arr = _check_shape("x", value, ("p", "p"))
+        assert arr.dtype == np.float64 and arr.shape == (2, 2)
+        assert np.array_equal(arr, np.asarray(value, dtype=np.float64))
+
+    def test_labels_and_lengths(self):
+        assert _check_shape("x", np.zeros((2, 3)), ("n", "q")).shape == (2, 3)
+        assert _check_shape("x", np.zeros((4, 2)), ("k", 2)).shape == (4, 2)
+        assert _check_shape("x", 1.5, ()).shape == ()
+        for value, shape, message in [
+            (np.zeros((2, 3)), ("p", "p"), "(p, p), got shape (2, 3)"),
+            (np.zeros((3, 3)), ("k", 2), "(k, 2), got shape (3, 3)"),
+            (np.zeros((2, 2, 3)), ("d", "p", "p"), "(d, p, p), got shape (2, 2, 3)"),
+            (np.zeros((0, 0)), ("p", "p"), "(p, p), got shape (0, 0)"),
+            (np.zeros((2, 0)), (2, "q"), "(2, q), got shape (2, 0)"),
+            (np.zeros(2), ("p", "p"), "(p, p), got shape (2,)"),
+            (2.0, ("n",), "(n,), got 2.0"),
+            ([[1.0], [1.0, 2.0]], ("p", "p"), "(p, p), got a ragged nest"),
+            ((np.ones(2), np.ones(3)), ("k", "p"), "(k, p), got a ragged nest"),
+        ]:
+            with pytest.raises(ValueError, match="^x must be a nonempty array of shape "
+                                                 + re.escape(message) + "$"):
+                _check_shape("x", value, shape)
+
+    @pytest.mark.parametrize("value, got", [
+        ([[1.0, True]], "True"), ([[1.0, "2"]], "'2'"), ((np.array([True, False]),), "array("),
+        ([[1.0, math.nan]], "nan"), ((np.ones(2), np.array([1.0, -math.inf])), "-inf"),
+        ([[0.5, -1.0]], "-1.0"),
+    ])
+    def test_entries_follow_check_real(self, value, got):
+        with pytest.raises(ValueError) as exc:
+            _check_shape("w", value, ("k", 2), 0, include_low=True)
+        assert str(exc.value).startswith("w must be real, finite and in [0, inf), got ")
+        assert got in str(exc.value)

@@ -389,10 +389,14 @@ class TestTruthChecked:
     @pytest.mark.parametrize(
         "beta, message",
         [
-            (np.zeros(2), r"^beta_star has shape \(2,\), expected \(3,\)$"),
-            (np.zeros((3, 1)), r"^beta_star has shape \(3, 1\), expected \(3,\)$"),
-            (np.array([0.0, np.nan, 1.0]), "^beta_star must be finite$"),
-            (np.array([np.inf, 0.0, 1.0]), "^beta_star must be finite$"),
+            (np.zeros(2),
+             r"^beta_star must be a nonempty array of shape \(3,\), got shape \(2,\)$"),
+            (np.zeros((3, 1)),
+             r"^beta_star must be a nonempty array of shape \(3,\), got shape \(3, 1\)$"),
+            (np.array([0.0, np.nan, 1.0]),
+             r"^beta_star must be real, finite and in \(-inf, inf\), got nan$"),
+            (np.array([np.inf, 0.0, 1.0]),
+             r"^beta_star must be real, finite and in \(-inf, inf\), got inf$"),
         ],
         ids=["short", "column", "nan", "inf"],
     )

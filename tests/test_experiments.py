@@ -189,6 +189,20 @@ class TestRunExperiment:
         run_experiment(tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3))
         assert calls == [(6, 20), (6, 35)]
 
+    def test_settings_built_once_per_batch_and_one_model_per_replication(self, monkeypatch):
+        spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
+        taus, models = [], []
+        fit_config = ExperimentSpec.fit_config
+        monkeypatch.setattr(ExperimentSpec, "fit_config",
+                            lambda self, tau: taus.append(tau) or fit_config(self, tau))
+        monkeypatch.setattr(exps, "VarModel", lambda coeffs: models.append(1) or VarModel(coeffs))
+        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)  # the spies see it
+        for workers in (1, 2):
+            taus.clear(), models.clear()
+            run_experiment(spec, workers=workers)
+            assert taus == list(spec.tau_grid) * workers
+            assert len(models) == 12  # the truth of each replication, and no estimate
+
     def test_failed_path_retries_alone(self, monkeypatch, caplog):
         spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
         expected = run_experiment(spec)

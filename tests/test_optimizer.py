@@ -382,11 +382,11 @@ class TestPerColumnSettings:
     @pytest.mark.parametrize("lam, tau, message", [
         ([0.1, 0.1, -0.1, 0.1, 0.1, 0.1], None, r"^lambda must be real, finite and in \[0, inf\), got -0.1$"),
         ([0.1, 0.1, np.nan, 0.1, 0.1, 0.1], None, r"^lambda must be real, finite and in \[0, inf\), got nan$"),
-        ([0.1] * 5, None, r"lambda must be a scalar or have shape \(6,\), got \(5,\)"),
+        ([0.1] * 5, None, r"^lambda must be a nonempty array of shape \(6,\), got shape \(5,\)$"),
         (0.1, [1.0, 1.0, 0.0, 1.0, 1.0, 1.0], r"^tau must be real, finite and in \(0, inf\), got 0.0$"),
         (0.1, [1.0, 1.0, np.inf, 1.0, 1.0, 1.0], r"^tau must be real, finite and in \(0, inf\), got inf$"),
         (0.1, np.nan, r"^tau must be real, finite and in \(0, inf\), got nan$"),
-        (0.1, [1.0] * 5, r"tau must be a scalar or have shape \(6,\), got \(5,\)"),
+        (0.1, [1.0] * 5, r"^tau must be a nonempty array of shape \(6,\), got shape \(5,\)$"),
     ], ids=["negative", "nan", "short", "tau_zero", "tau_inf", "tau_nan", "tau_short"])
     def test_bad_lambda_vector_rejected(self, lam, tau, message):
         x, y, cfg = TestZeroScreen.problem()
@@ -424,9 +424,12 @@ class TestStart:
             with pytest.raises(ValueError, match=r"^seed must be "):
                 OptimizerConfig(seed=seed)
 
-    @pytest.mark.parametrize("start", [np.zeros((4, 7)), np.zeros(4), np.full((4, 6), np.nan)],
-                             ids=["columns", "vector", "nan"])
-    def test_bad_start_rejected(self, start):
+    @pytest.mark.parametrize("start, message", [
+        (np.zeros((4, 7)), r"a nonempty array of shape \(4, 6\), got shape \(4, 7\)$"),
+        (np.zeros(4), r"a nonempty array of shape \(4, 6\), got shape \(4,\)$"),
+        (np.full((4, 6), np.nan), r"real, finite and in \(-inf, inf\), got nan$"),
+    ], ids=["columns", "vector", "nan"])
+    def test_bad_start_rejected(self, start, message):
         x, y, cfg = TestZeroScreen.problem()
-        with pytest.raises(ValueError, match=r"^start must be a finite \(4, 6\) array"):
+        with pytest.raises(ValueError, match="^start must be " + message):
             proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.1, OptimizerConfig(), start)
