@@ -1,7 +1,8 @@
-"""The checks every setting goes through where it enters; a bad value raises one
-``ValueError`` whose message starts with the setting's name.  ``_check_int`` and
-``_check_real`` check a value's kind and range; ``_check_shape`` also checks the
-shape of a matrix or vector setting and returns it as a float64 array."""
+"""The checks every setting and data array goes through where it enters; a bad value
+raises one ``ValueError`` whose message starts with its name.  ``_check_int`` and
+``_check_real`` check a value's kind and range; ``_check_shape`` also checks the shape
+of a matrix, vector or data array and returns it as a float64 array.  What the package
+makes from checked values (a drawn truth, a fitted estimate) is not checked again."""
 
 import math
 import sys
@@ -33,12 +34,16 @@ def _check_real(name: str, value, low=-math.inf, high=math.inf, *, include_low=F
             _check_real(name, part, low, high, include_low=include_low)
         return
     elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        # a NaN is its array's min and max, and an infinite or out-of-range entry one of them
-        for extreme in (value.min(), value.max()) if value.size else ():
-            _check_real(name, extreme.item(), low, high, include_low=include_low)
+        # unbounded, all finite is enough; else a NaN is its array's min and max, and an
+        # infinite or out-of-range entry one of them
+        if value.size and (low > -math.inf or high < math.inf or not np.isfinite(value).all()):
+            for extreme in np.minimum.reduce(value, None), np.maximum.reduce(value, None):
+                _check_real(name, extreme.item(), low, high, include_low=include_low)
         return
     interval = f"{'[' if include_low else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
-    raise ValueError(f"{name} must be real, finite and in {interval}, got {value!r}")
+    got = (f"array(..., shape={value.shape}, dtype={value.dtype})"  # not its data: it may be big
+           if isinstance(value, np.ndarray) else repr(value))
+    raise ValueError(f"{name} must be real, finite and in {interval}, got {got}")
 
 
 def _check_shape(name: str, value, shape: tuple, low=-math.inf, high=math.inf, *,

@@ -36,7 +36,7 @@ from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
 )
-from .var import FitConfig, VarModel
+from .var import FitConfig, VarModel, _Unchecked
 
 __all__ = [
     "CALIBRATED_C",
@@ -93,7 +93,7 @@ def _stacks(items: list, steps: int, p: int) -> list[list]:
 def _study_dgp(p: int, density: float, rho_target: float, df: float, rep_seed: int) -> VarTDgp:
     """The replication's sparse VAR(1) truth with t(df) noise."""
     b_mat = gen_er_transition(p, density, rho_target, derive_seed(rep_seed, 0))
-    return VarTDgp(VarModel((b_mat,)), StudentTNoise(df))
+    return VarTDgp(VarModel(_Unchecked((b_mat,))), StudentTNoise(df))
 
 
 def _check_generator(p: int, n_values, replications: int, burn_in: int,

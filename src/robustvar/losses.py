@@ -71,17 +71,8 @@ class Regression:
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64)
-        x = np.asarray(self.x, dtype=np.float64)
-        if y.ndim != 1 or x.ndim != 2:
-            raise ValueError("y must be 1-d and x 2-d")
-        if y.shape[0] != x.shape[0]:
-            raise ValueError(f"row mismatch: y has {y.shape[0]} rows, x has {x.shape[0]}")
-        if y.shape[0] < 1:
-            raise ValueError("regression needs at least one observation")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-            raise ValueError("regression data must be finite")
-        object.__setattr__(self, "y", y)
+        x = _check_shape("x", self.x, ("n", "q"))
+        object.__setattr__(self, "y", _check_shape("y", self.y, x.shape[:1]))
         object.__setattr__(self, "x", x)
 
     @property
@@ -144,11 +135,7 @@ def robust_gradient(reg: Regression, beta: np.ndarray, cfg: RobustConfig) -> np.
     Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i, the one-column case
     of :func:`robust_gradient_columns`, which the solver also uses.
     """
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (reg.q,):
-        raise ValueError(f"beta has shape {beta.shape}, expected ({reg.q},)")
-    if not np.all(np.isfinite(beta)):  # the kernel would clip its residual to a finite value
-        raise ValueError("robust_gradient requires a finite beta")
+    beta = _check_shape("beta", beta, (reg.q,))  # finite: the kernel clips an inf residual
     w = mallows_weights(reg.x, cfg)
     return robust_gradient_columns(reg.x, reg.y[:, None], beta[:, None], w, cfg.tau)[:, 0]
 

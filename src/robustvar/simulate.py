@@ -17,7 +17,7 @@ import numpy as np
 from ._checks import _check_int, _check_real, _check_shape
 from ._seeds import derive_seed
 from ._tables import read_table, write_table
-from .var import VarModel, companion_matrix, spectral_radius
+from .var import VarModel, _radius, _Unchecked, companion_matrix
 
 __all__ = [
     "StabilityError",
@@ -201,7 +201,7 @@ class VarTDgp:
         _require_stable(self.stability_radius(), "companion spectral radius")
 
     def stability_radius(self) -> float:
-        return spectral_radius(companion_matrix(self.model))
+        return _radius(companion_matrix(self.model))
 
 
 @dataclass(frozen=True)
@@ -248,8 +248,8 @@ class ArchVarDgp:
 
     def stability_radius(self) -> float:
         if self.sigma_fn is not None:
-            return spectral_radius(self.b)
-        return spectral_radius(self.b) ** 2 + max(spectral_radius(m) for m in self.f_mats)
+            return _radius(self.b)
+        return _radius(self.b) ** 2 + max(_radius(m) for m in self.f_mats)
 
 
 @dataclass(frozen=True)
@@ -275,15 +275,15 @@ class UnivariateArchDgp:
         _check_dimension(1, self.noise)
         object.__setattr__(self, "b", tuple(b.tolist()))
         object.__setattr__(self, "d", tuple(d.tolist()))
-        _require_stable(spectral_radius(self.companion()), "companion spectral radius")
+        _require_stable(_radius(self.companion()), "companion spectral radius")
         _require_stable(self.stability_radius(), "radius(bb' + diag(d)) =")
 
     def companion(self) -> np.ndarray:
-        return companion_matrix(VarModel(np.reshape(self.b, (-1, 1, 1))))
+        return companion_matrix(VarModel(_Unchecked(np.reshape(self.b, (-1, 1, 1)))))
 
     def stability_radius(self) -> float:
         b_vec = np.asarray(self.b)
-        return spectral_radius(np.outer(b_vec, b_vec) + np.diag(self.d))
+        return _radius(np.outer(b_vec, b_vec) + np.diag(self.d))
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ class BekkVarDgp:
         _require_stable(self.stability_radius(), "radius(BB' + FF') =")
 
     def stability_radius(self) -> float:
-        return spectral_radius(self.b @ self.b.T + self.f @ self.f.T)
+        return _radius(self.b @ self.b.T + self.f @ self.f.T)
 
     def scale_at(self, z: np.ndarray) -> np.ndarray:
         """Symmetric PSD square root of C + F'zz'F."""
@@ -383,7 +383,7 @@ class RcVarDgp:
         p = self.b.shape[0]
         vec_eye = np.eye(p).reshape(-1)
         second_moment = self.gamma_sd**2 * np.outer(vec_eye, vec_eye)
-        return spectral_radius(np.kron(self.b.T, self.b.T) + second_moment)
+        return _radius(np.kron(self.b.T, self.b.T) + second_moment)
 
 
 DgpSpec = (
@@ -419,7 +419,7 @@ def gen_er_transition(
                 break
             vals[zeros] = rng.uniform(-1.0, 1.0, int(zeros.sum()))
         b = np.where(mask, vals, 0.0)
-        r = spectral_radius(b)
+        r = _radius(b)
         if r > 0.0:
             return b * (rho_target / r)
     raise RuntimeError(
@@ -598,9 +598,7 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
 
 def write_series_csv(data: np.ndarray, path) -> None:
     """Write an (n, p) series as CSV with header ``t,z1,...,zp``."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("series must be a 2-d array")
+    data = _check_shape("data", data, ("n", "p"))
     p = data.shape[1]
     write_table(path, ["t", *(f"z{j + 1}" for j in range(p))], (int,) + (float,) * p,
                 ((t, *row) for t, row in enumerate(data.tolist())))

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+class _Unchecked(tuple):
+    """Finite float64 (p, p) coefficient matrices the package made from checked values:
+    :class:`VarModel` holds them unchecked and uncopied, so the model aliases them."""
+
+
 @dataclass(frozen=True)
 class VarModel:
     """Lag-d VAR coefficients: a tuple of d matrices, each p x p."""
@@ -41,7 +46,9 @@ class VarModel:
     coeffs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        coeffs = _check_shape("coeffs", self.coeffs, ("d", "p", "p"))
+        coeffs = self.coeffs
+        if type(coeffs) is not _Unchecked:
+            coeffs = _check_shape("coeffs", coeffs, ("d", "p", "p"))
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
@@ -107,23 +114,24 @@ def companion_matrix(model: VarModel) -> np.ndarray:
 
 def spectral_radius(a: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square matrix."""
-    a = _check_shape("matrix", a, ("n", "n"))
+    return _radius(_check_shape("matrix", a, ("n", "n")))
+
+
+def _radius(a: np.ndarray) -> float:
+    """:func:`spectral_radius` of a square float64 matrix the package made, unchecked.
+    A product of checked matrices may overflow: a non-finite one has radius inf."""
     try:
         eigs = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # QR iteration failed to converge
+    except np.linalg.LinAlgError as exc:  # a non-finite matrix, or QR did not converge
+        if not np.isfinite(a).all():
+            return math.inf
         raise RuntimeError(f"eigenvalue computation did not converge: {exc}") from exc
     return float(np.max(np.abs(eigs)))
 
 
 def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared design (n, p*d) and responses (n, p) of a lag-d series."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("data must be a 2-d array (rows = time points)")
-    if data.shape[1] < 1:
-        raise ValueError("data has no series column")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("regression data must be finite")
+    data = _check_shape("data", data, ("n", "p"))  # rows are time points
     _check_int("lag", d, 1)
     n_rows = data.shape[0]
     if n_rows < d + 1:
@@ -151,8 +159,7 @@ def fit_var(data: np.ndarray, d: int, fit: FitConfig) -> tuple[VarModel, list[Fi
     lam = fit.lambda_for(p, d, n)
     results = proximal_gradient_fit_columns(x, y, fit.robust, fit.penalty, lam, fit.opt)
     stacked = np.column_stack([r.beta_hat for r in results])
-    coeffs = [stacked[k * p : (k + 1) * p, :] for k in range(d)]
-    return VarModel(tuple(coeffs)), results
+    return VarModel(_Unchecked(stacked[k * p : (k + 1) * p] for k in range(d))), results
 
 
 def estimation_error(b_hat: VarModel, b_true: VarModel) -> float:

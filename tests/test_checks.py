@@ -2,6 +2,7 @@
 reject a bad value where it enters, with a ``ValueError`` that starts with its name."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -25,16 +26,20 @@ from robustvar import (
     UnivariateArchDgp,
     VarModel,
     VarTDgp,
+    fit_var,
     gen_er_transition,
     re_check,
+    robust_gradient,
     simulate,
     simulate_paths,
     spectral_radius,
+    write_series_csv,
 )
 from robustvar import _checks
 from robustvar._checks import _check_real, _check_shape
 from robustvar.experiments import run_deviation_experiment
 from robustvar.optimizer import proximal_gradient_fit_columns
+from robustvar.var import _lagged_design
 
 CFG = RobustConfig(tau=1.0, b=3.0)
 RNG = np.random.default_rng(0)
@@ -122,8 +127,8 @@ class TestCheckReal:
         (np.float64(-1.0), repr(np.float64(-1.0))),
         ([1.0, True], "True"), ([[1.0, 2.0], [3.0, "4"]], "'4'"), ((1.0, None), "None"),
         (np.array([1.0, np.nan]), "nan"), (np.array([[1.0, -np.inf]]), "-inf"),
-        (np.array([2, 0]), "0"), (np.array([True]), "array([ True])"),
-        (np.array(["1"]), "array(['1'], dtype='<U1')"), (np.array([1.0, None]), "array("),
+        (np.array([2, 0]), "0"), (np.array([True]), "array(..., shape=(1,), dtype=bool)"),
+        (np.array(["1"]), "array(..., shape=(1,), dtype=<U1)"), (np.array([1.0, None]), "array("),
         ([np.ones(2), np.array([1.0, -2.0, 3.0])], "-2.0"),
     ])
     def test_rejects_naming_the_setting_and_the_value(self, value, got):
@@ -131,6 +136,15 @@ class TestCheckReal:
             _check_real("x", value, 0)
         assert str(exc.value).startswith("x must be real, finite and in (0, inf), got ")
         assert got in str(exc.value)
+
+    def test_an_array_of_the_wrong_kind_is_named_by_dtype_and_shape(self):
+        # its data is not printed: a data array can be big
+        for value, got in [(np.zeros((3, 2), bool), "shape=(3, 2), dtype=bool"),
+                           (np.full((500, 40), "1.0"), "shape=(500, 40), dtype=<U3"),
+                           ((1.0, np.array([1.0, None])), "shape=(2,), dtype=object")]:
+            with pytest.raises(ValueError, match=r"^x must be real, finite and in \(0, inf\), "
+                                                 + re.escape(f"got array(..., {got})") + "$"):
+                _check_real("x", value, 0)
 
     def test_interval_ends(self):
         _check_real("density", 1.0, 0, 1)
@@ -167,6 +181,8 @@ class TestCheckReal:
 # its whole value.  The bad values are, where the setting can take one, a scalar, the
 # wrong number of dimensions, a ragged nest, a wrong length and an empty value.
 MATRIX_BAD = [0.3, [0.3], [[0.3, 0.0], [0.0]], [[0.3, 0.0]], []]
+SERIES_BAD = [0.3, np.zeros(5), np.zeros((5, 2, 1)), [[0.1, 0.2], [0.3]], np.zeros((0, 2)),
+              np.zeros((5, 0))]
 SHAPES = [
     ("coeffs", VarModel, "coeffs", "(d, p, p)",
      [0.5, (1.0,), [[0.5]], ([[0.5, 0.0], [0.0]],), (np.eye(2), np.eye(3)), ([[0.5, 0.0]],),
@@ -203,7 +219,20 @@ SHAPES = [
     ("start", lambda v: proximal_gradient_fit_columns(X, REG.y[:, None], CFG, Penalty("l1"), 0.1,
                                                       OptimizerConfig(), v), "start", "(3, 1)",
      [0.0, np.zeros(3), [[0.0], [0.0, 0.0], [0.0]], np.zeros((3, 2)), []]),
+    # data arrays follow the same rule
+    ("fit_var_data", lambda v: fit_var(v, 1, FitConfig(CFG)), "data", "(n, p)", SERIES_BAD),
+    ("lagged_design_data", lambda v: _lagged_design(v, 1), "data", "(n, p)", SERIES_BAD),
+    ("write_series_csv_data", lambda v: write_series_csv(v, os.devnull), "data", "(n, p)",
+     SERIES_BAD),
+    ("regression_x", lambda v: Regression(np.zeros(5), v), "x", "(n, q)", SERIES_BAD),
+    ("regression_y", lambda v: Regression(v, X), "y", "(30,)",
+     [0.5, np.zeros((30, 1)), [[0.0], 0.0], np.zeros(29), np.zeros(0)]),
+    ("robust_gradient_beta", lambda v: robust_gradient(REG, v, CFG), "beta", "(3,)",
+     [0.5, np.zeros((3, 1)), [[0.0], 0.0, 0.0], np.zeros(2), np.zeros(0)]),
 ]
+# (data array of SHAPES, a valid shape)
+DATA = [("fit_var_data", (5, 2)), ("lagged_design_data", (5, 2)), ("write_series_csv_data", (5, 2)),
+        ("regression_x", (5, 2)), ("regression_y", (30,)), ("robust_gradient_beta", (3,))]
 
 
 @pytest.mark.parametrize("build, name, shape, bad",
@@ -214,6 +243,22 @@ def test_every_array_setting_rejects_bad_shapes_naming_it(build, name, shape, ba
             build(value)
         expected = f"{name} must be a nonempty array of shape {shape}, got "
         assert str(exc.value).startswith(expected), (value, str(exc.value))
+
+
+@pytest.mark.parametrize("build, name, shape",
+                         [next(case[1:3] for case in SHAPES if case[0] == site) + (shape,)
+                          for site, shape in DATA], ids=[site for site, _ in DATA])
+def test_every_data_array_rejects_bad_entries_naming_it(build, name, shape):
+    for bad, got in [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]:
+        value = np.ones(shape)
+        value.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be real, finite and in "
+                                             rf"\(-inf, inf\), got {got}$"):
+            build(value)
+    for value in np.ones(shape, bool), np.full(shape, "1"):
+        with pytest.raises(ValueError, match=f"^{name} must be real, finite and in "
+                                             rf"\(-inf, inf\), got array\(\.\.\., "):
+            build(value)
 
 
 # (entry point, call, bad seeds): simulating draws from a nonnegative seed; a seed that

@@ -209,7 +209,8 @@ class TestFitCommand:
         data.write_text("t\n0\n1\n2\n3\n")
         out = tmp_path / "b.csv"
         assert run(["fit", "--input", str(data), "--tau", "1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: ValueError: data has no series column\n"
+        assert capsys.readouterr().err == ("error: ValueError: data must be a nonempty array of "
+                                           "shape (n, p), got shape (4, 0)\n")
         assert not out.exists()
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import importlib
 import json
 import logging
 import math
@@ -12,9 +13,12 @@ import numpy as np
 import pytest
 
 import robustvar.experiments as exps
-from robustvar import optimizer
+from robustvar import diagnostics, losses, optimizer, var
 from robustvar import (
     ExperimentSpec,
+    FitConfig,
+    RobustConfig,
+    StabilityError,
     StudentTNoise,
     VarModel,
     VarTDgp,
@@ -36,6 +40,8 @@ from robustvar._seeds import derive_seed
 from robustvar.experiments import spec_from_dict, spec_to_dict, write_provenance
 from robustvar.simulate import SimulationError
 from robustvar.svgplot import emit_svg_lines
+
+sim = importlib.import_module("robustvar.simulate")  # the package's ``simulate`` is the function
 
 
 def record_stacks(monkeypatch):
@@ -202,6 +208,28 @@ class TestRunExperiment:
             run_experiment(spec, workers=workers)
             assert taus == list(spec.tau_grid) * workers
             assert len(models) == 12  # the truth of each replication, and no estimate
+
+    def test_package_made_values_are_not_checked_again(self, monkeypatch):
+        checked, radii = [], []
+        real_check, real_radius = var._check_shape, var._radius
+        for module in (var, sim, losses, optimizer, diagnostics):
+            monkeypatch.setattr(module, "_check_shape",
+                                lambda name, *args, **kw: checked.append(name)
+                                or real_check(name, *args, **kw))
+        monkeypatch.setattr(sim, "_radius", lambda a: radii.append(a.shape) or real_radius(a))
+        dgp = exps._study_dgp(10, 0.3, 0.5, 3.0, derive_seed(7, 0, 0))
+        # no shape check, and every gate still runs: the draw's radius, then the truth's
+        assert checked == [] and radii == [(10, 10), (10, 10)]
+        data = simulate(dgp, 60, 20, 1)
+        fit = FitConfig(RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=0.05)
+        est, _ = fit_var(data, 1, fit)
+        assert checked == ["data"]  # the series where it enters, and not the estimate
+        assert est.coeffs[0].shape == (10, 10) and est.coeffs[0].any()
+
+    def test_an_unstable_truth_fails_its_gate(self):
+        spec = tiny_spec(rho_target=1.5)  # a valid setting: the process gate rejects it
+        with pytest.raises(StabilityError, match=r"^companion spectral radius 1\.500000 >= 1$"):
+            run_experiment(spec)
 
     def test_failed_path_retries_alone(self, monkeypatch, caplog):
         spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)

@@ -375,5 +375,6 @@ class TestRobustGradient:
         reg = Regression(y=np.array([1.0, 2.0]), x=np.array([[1.0, 0.5], [2.0, 1.0]]))
         cfg = RobustConfig(tau=1, b=3)
         beta = np.array([0.5, bad])
-        with pytest.raises(ValueError, match="robust_gradient requires a finite beta"):
+        with pytest.raises(ValueError, match=rf"^beta must be real, finite and in \(-inf, inf\), "
+                                             rf"got {bad}$"):
             robust_gradient(reg, beta, cfg)

@@ -148,6 +148,14 @@ class TestStabilityGates:
         with pytest.raises(StabilityError):
             RcVarDgp(b=np.eye(p) * 0.7, gamma_sd=np.sqrt(0.511 / p))
 
+    def test_an_overflowing_gate_matrix_has_infinite_radius(self):
+        # b is finite, but its second moments overflow: the process is unstable
+        with np.errstate(over="ignore"):
+            with pytest.raises(StabilityError, match=r"^radius\(BB' \+ FF'\) = inf >= 1$"):
+                BekkVarDgp(b=[[1e200]], c=[[1.0]], f=[[0.1]])
+            with pytest.raises(StabilityError, match="^second-moment spectral radius inf >= 1$"):
+                RcVarDgp(b=[[1e200]], gamma_sd=0.1)
+
     def test_message_carries_radius(self):
         with pytest.raises(StabilityError, match=r"1\.0010"):
             VarTDgp(VarModel((np.eye(2) * 1.001,)), GaussianNoise(1.0))
