@@ -10,6 +10,7 @@ are independent of how replications are batched or scheduled across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,7 @@ class SimulationError(RuntimeError):
 def _require_stable(radius: float, what: str) -> None:
     """Raise :class:`StabilityError` naming ``what`` unless the stability ``radius`` is below 1."""
     if radius >= 1:
-        raise StabilityError(f"{what} {radius:.6f} >= 1")
+        raise StabilityError(f"{what} {radius:.6g} >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +248,10 @@ class ArchVarDgp:
         _require_stable(self.stability_radius(), "radius(B)^2 + max radius(F_j) =")
 
     def stability_radius(self) -> float:
+        r = _radius(self.b)
         if self.sigma_fn is not None:
-            return _radius(self.b)
-        return _radius(self.b) ** 2 + max(_radius(m) for m in self.f_mats)
+            return r
+        return r * r + max(_radius(m) for m in self.f_mats)  # r ** 2 raises on overflow
 
 
 @dataclass(frozen=True)
@@ -290,9 +292,12 @@ class UnivariateArchDgp:
 class BekkVarDgp:
     """Lag-1 VAR with full-matrix state-dependent noise scale (C + F'zz'F)^(1/2).
 
-    The scale is the symmetric PSD square root, computed by eigendecomposition
-    with eigenvalues clamped at zero to guard against roundoff; C must be
-    positive definite.  Stability requires radius(BB' + FF') < 1.
+    The scale is the symmetric PSD square root; C must be positive definite.
+    When C = c*I it has the closed form sqrt(c)*I + uu'/(sqrt(c + u'u) + sqrt(c))
+    with u = F'z, and a :func:`simulate` step applies it to the noise with a
+    few length-p products.  Any other C takes an eigendecomposition at every
+    step, with eigenvalues clamped at zero to guard against roundoff.
+    Stability requires radius(BB' + FF') < 1.
     """
 
     b: np.ndarray
@@ -315,8 +320,24 @@ class BekkVarDgp:
     def stability_radius(self) -> float:
         return _radius(self.b @ self.b.T + self.f @ self.f.T)
 
+    def _scalar_c(self) -> float | None:
+        """c when C = c*I (so c > 0), else None."""
+        c = float(self.c[0, 0])
+        return c if np.array_equal(self.c, c * np.eye(len(self.c))) else None
+
     def scale_at(self, z: np.ndarray) -> np.ndarray:
         """Symmetric PSD square root of C + F'zz'F."""
+        c = self._scalar_c()
+        if c is None:
+            return self._eigh_scale(z)
+        u = self.f.T @ z
+        cs = c + u @ u
+        if cs == math.inf:  # no finite root is computed, as with eigh
+            return np.full((len(u), len(u)), np.nan)
+        root_c = math.sqrt(c)
+        return root_c * np.eye(len(u)) + np.outer(u, u) / (math.sqrt(cs) + root_c)
+
+    def _eigh_scale(self, z: np.ndarray) -> np.ndarray:
         fz = self.f.T @ z
         mat = self.c + np.outer(fz, fz)
         vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
@@ -553,9 +574,32 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
         state = np.zeros(p)
+        c = spec._scalar_c()
+        if c is None:
 
-        def step(t, z):
-            return bt @ z + spec.scale_at(z) @ eta[t]
+            def step(t, z):
+                try:
+                    scale = spec._eigh_scale(z)
+                except np.linalg.LinAlgError:  # eigh does not converge on a non-finite matrix
+                    return np.full(p, np.nan)
+                return bt @ z + scale @ eta[t]
+
+        else:
+            # one product gives both B'z and u = F'z
+            bft = np.concatenate([bt, spec.f.T])
+            root_c = math.sqrt(c)
+            root_c_eta = root_c * eta
+
+            def step(t, z):
+                # B'z plus the closed-form scale of scale_at times eta[t]
+                w = bft @ z
+                z, u = w[:p], w[p:]
+                cs = c + u @ u
+                if cs == math.inf:  # an overflowing scale fails the path, as with eigh
+                    return np.full(p, np.nan)
+                z += root_c_eta[t]
+                z += ((u @ eta[t]) / (math.sqrt(cs) + root_c)) * u
+                return z
 
     elif isinstance(spec, ThresholdVarDgp):
         p = spec.models[0].shape[0]

@@ -156,9 +156,22 @@ class TestStabilityGates:
             with pytest.raises(StabilityError, match="^second-moment spectral radius inf >= 1$"):
                 RcVarDgp(b=[[1e200]], gamma_sd=0.1)
 
+    def test_an_overflowing_arch_radius_is_infinite(self):
+        # radius(B) = 1e200 is finite, its square is not: the gate fails, not the arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StabilityError, match=r"^radius\(B\)\^2 \+ max radius\(F_j\) = inf >= 1$"):
+                ArchVarDgp(b=[[1e200]], f=[1.0], f_mats=[[[0.1]]])
+
     def test_message_carries_radius(self):
-        with pytest.raises(StabilityError, match=r"1\.0010"):
+        with pytest.raises(StabilityError, match=r"^companion spectral radius 1\.001 >= 1$"):
             VarTDgp(VarModel((np.eye(2) * 1.001,)), GaussianNoise(1.0))
+
+    def test_a_huge_radius_message_stays_short(self):
+        with pytest.raises(StabilityError) as exc:
+            UnivariateArchDgp(b=[1e200], d0=1.0, d=[0.1])
+        assert str(exc.value) == "companion spectral radius 1e+200 >= 1"
+        assert len(str(exc.value)) < 100
 
 
 class TestSimulate:
@@ -374,20 +387,101 @@ class TestSimulatePaths:
             simulate_paths([one], 0, 0, [1])
 
 
+def eigh_root(c, u):
+    """The symmetric PSD square root of C + uu' by eigendecomposition."""
+    mat = c + np.outer(u, u)
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def reference_bekk_path(spec, n, burn_in, seed):
+    """The BEKK recursion written out with the eigh root at every step."""
+    p = spec.b.shape[0]
+    eta = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+    bt = np.ascontiguousarray(spec.b.T)
+    state = np.zeros(p)
+    rows = np.empty((burn_in + n, p))
+    for t in range(burn_in + n):
+        state = bt @ state + eigh_root(spec.c, spec.f.T @ state) @ eta[t]
+        rows[t] = state
+    return rows[burn_in:]
+
+
 class TestBekkScale:
     def test_square_root_reconstructs(self):
         rng = np.random.default_rng(13)
         p = 3
-        c = np.eye(p) * 0.4
         f = 0.4 * rng.standard_normal((p, p)) / np.sqrt(p)
         b = np.eye(p) * 0.3
-        spec = BekkVarDgp(b=b, c=c, f=f, noise=GaussianNoise(1.0))
-        for _ in range(100):
-            z = rng.standard_normal(p) * 3
-            s = spec.scale_at(z)
-            fz = f.T @ z
-            want = c + np.outer(fz, fz)
-            assert np.linalg.norm(s @ s - want) <= 1e-10
+        # the closed form (C = c*I) and the eigh root (any other C)
+        for c in (np.eye(p) * 0.4, np.diag([0.4, 0.5, 0.7])):
+            spec = BekkVarDgp(b=b, c=c, f=f, noise=GaussianNoise(1.0))
+            for _ in range(100):
+                z = rng.standard_normal(p) * 3
+                s = spec.scale_at(z)
+                fz = f.T @ z
+                want = c + np.outer(fz, fz)
+                assert np.linalg.norm(s @ s - want) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1, 10])
+    def test_closed_form_is_the_eigh_root(self, p):
+        # C = c*I takes the closed form, here with u = F'z = z / 2.  The eigh
+        # root's own error grows like eps * |u| relative, so |u| stays below ~100
+        rng = np.random.default_rng(16 + p)
+        for c in (0.3, 1.0, 2.5):
+            spec = BekkVarDgp(b=np.eye(p) * 0.3, c=np.eye(p) * c, f=np.eye(p) * 0.5)
+            us = [np.zeros(p)] + [rng.standard_normal(p) * 10.0 ** rng.uniform(-4, 1)
+                                  for _ in range(200)]
+            for u in us:
+                want = eigh_root(spec.c, u)
+                got = spec.scale_at(u / 0.5)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            np.testing.assert_array_equal(spec.scale_at(np.zeros(p)), np.sqrt(c) * np.eye(p))
+
+    def test_general_c_is_the_eigh_recursion_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        spec = BekkVarDgp(b=[[0.3, 0.1], [0.0, 0.3]], c=np.diag([0.4, 0.7]),
+                          f=[[0.4, 0.0], [0.1, 0.4]], noise=StudentTNoise(3.0))
+        for _ in range(50):
+            z = rng.standard_normal(2) * 3
+            np.testing.assert_array_equal(spec.scale_at(z), eigh_root(spec.c, spec.f.T @ z))
+        for seed in (1, 2, 3):
+            np.testing.assert_array_equal(simulate(spec, 60, 40, seed),
+                                          reference_bekk_path(spec, 60, 40, seed))
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_scalar_c_path_is_the_eigh_recursion_within_round_off(self, p):
+        rng = np.random.default_rng(18)
+        f = 0.4 * rng.standard_normal((p, p)) / np.sqrt(p)
+        spec = BekkVarDgp(b=np.eye(p) * 0.3, c=np.eye(p) * 0.6, f=f, noise=StudentTNoise(3.0))
+        for seed in (1, 2, 3):
+            path = simulate(spec, 200, 100, seed)
+            want = reference_bekk_path(spec, 200, 100, seed)
+            assert np.abs(path - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("c", [np.eye(2), np.eye(10), np.diag([0.4, 0.5, 0.7])],
+                             ids=["scalar_p2", "scalar_p10", "general_p3"])
+    def test_an_overflowing_path_names_its_step_without_warnings(self, c):
+        # eigh does not converge on a non-finite matrix; that is a failed path too
+        p = len(c)
+        spec = BekkVarDgp(b=np.eye(p) * 0.5, c=c, f=np.eye(p) * 0.1, noise=GaussianNoise(1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationError, match=r"at step 2$"):
+                simulate(spec, 50, 10, seed=1)
+
+    def test_an_overflowing_scale_fails_the_path(self):
+        # step 1 makes z_1 ~ 1e155 in the first coordinate; at step 2 F moves it
+        # into u, whose square overflows while u'eta stays finite (eta_2 is tiny).
+        # The path must fail there rather than drop the scale's rank-one part.
+        spec = BekkVarDgp(b=np.eye(2) * 0.3, c=np.eye(2), f=[[0.0, 0.4], [0.0, 0.0]],
+                          noise=GaussianNoise((1e155, 1e-10)))
+        with np.errstate(over="ignore"):
+            assert np.isnan(spec.scale_at(np.array([1e155, 0.0]))).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationError, match=r"at step 2$"):
+                simulate(spec, 50, 10, seed=1)
 
 
 class TestPartitions:
