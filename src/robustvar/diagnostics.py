@@ -23,13 +23,7 @@ import numpy as np
 
 from ._checks import _check_int, _check_real, _check_shape
 from ._tables import format_cell, write_table
-from .losses import (
-    Regression,
-    RobustConfig,
-    mallows_weights,
-    robust_gradient_columns,
-    robust_objective_columns,
-)
+from .losses import Regression, RobustConfig, _huber, mallows_weights, robust_gradient_columns
 from .penalties import Penalty, dual_value
 
 __all__ = [
@@ -127,32 +121,27 @@ def _re_probe(
     reach = r * math.sqrt(q) * float(np.abs(xw).max(initial=0.0))  # >= |xw_i . v| for |v| = r
     if not 0 < scale < math.inf or 1.5 * n * reach * reach == math.inf:
         raise ValueError(f"radius {radius:g} at tau {cfg.tau:g} puts the sums out of float range")
-    s = min(sparsity_s, q)
-    if not math.isfinite(robust_objective_columns(x, y, beta_star[None, :], w, cfg.tau)[0]):
+    resid = w * (y - x @ beta_star)
+    if not math.isfinite(math.fsum(w * _huber(resid, cfg.tau))):
         raise ValueError("the loss at beta_star is not finite")
     rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(n_directions):
-        support = rng.choice(q, size=s, replace=False)
-        u = np.zeros(q)
-        u[support] = rng.standard_normal(s)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            continue
-        u *= radius / nrm
-        # curvature is sign-asymmetric away from the quadratic regime, so
-        # probe both u and -u
-        probes += (u, -u)
-    directions = np.array(probes).reshape(-1, q)
-    resid = w * (y - x @ beta_star)
-    best, best_dir = np.inf, np.zeros(q)
+    s = min(sparsity_s, q)
+    # each support is the first s entries of a random permutation of the q coordinates
+    support = rng.permuted(np.tile(np.arange(q), (n_directions, 1)), axis=1)[:, :s]
+    u = np.zeros((n_directions, q))
+    np.put_along_axis(u, support, rng.standard_normal((n_directions, s)), axis=1)
+    nrm = np.linalg.norm(u, axis=1)
+    u = u[nrm != 0.0] * (r / nrm[nrm != 0.0])[:, None]
+    # curvature is sign-asymmetric away from the quadratic regime, so probe
+    # both u and -u
+    directions = np.stack((u, -u), axis=1).reshape(-1, q)
+    ratios = np.empty(len(directions))
     for start in range(0, len(directions), _PROBE_BLOCK):
         block = directions[start : start + _PROBE_BLOCK]
-        ratios = _huber_bregman_sums(xw, resid, w, cfg.tau, block) / scale
-        i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best, best_dir = ratios[i], block[i].copy()
-    return float(best), best_dir
+        ratios[start : start + _PROBE_BLOCK] = _huber_bregman_sums(xw, resid, w, cfg.tau, block)
+    ratios /= scale
+    i = int(np.argmin(ratios))
+    return float(ratios[i]), directions[i].copy()
 
 
 def re_check(

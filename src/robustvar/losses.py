@@ -98,9 +98,7 @@ def mallows_weights(x: np.ndarray, cfg: RobustConfig) -> np.ndarray:
     vector, so callers fitting many candidate coefficients should compute
     them once and reuse the array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("mallows_weights requires finite input")
+    x = _check_shape("x", x, ("n", "q"))
     if cfg.shrinkage is not None:
         if cfg.shrinkage.shape[1] != x.shape[1]:
             raise ValueError("shrinkage dimension does not match predictor columns")

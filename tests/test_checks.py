@@ -28,6 +28,7 @@ from robustvar import (
     VarTDgp,
     fit_var,
     gen_er_transition,
+    mallows_weights,
     re_check,
     robust_gradient,
     simulate,
@@ -225,6 +226,7 @@ SHAPES = [
     ("write_series_csv_data", lambda v: write_series_csv(v, os.devnull), "data", "(n, p)",
      SERIES_BAD),
     ("regression_x", lambda v: Regression(np.zeros(5), v), "x", "(n, q)", SERIES_BAD),
+    ("mallows_weights_x", lambda v: mallows_weights(v, CFG), "x", "(n, q)", SERIES_BAD),
     ("regression_y", lambda v: Regression(v, X), "y", "(30,)",
      [0.5, np.zeros((30, 1)), [[0.0], 0.0], np.zeros(29), np.zeros(0)]),
     ("robust_gradient_beta", lambda v: robust_gradient(REG, v, CFG), "beta", "(3,)",
@@ -232,7 +234,8 @@ SHAPES = [
 ]
 # (data array of SHAPES, a valid shape)
 DATA = [("fit_var_data", (5, 2)), ("lagged_design_data", (5, 2)), ("write_series_csv_data", (5, 2)),
-        ("regression_x", (5, 2)), ("regression_y", (30,)), ("robust_gradient_beta", (3,))]
+        ("regression_x", (5, 2)), ("mallows_weights_x", (5, 2)), ("regression_y", (30,)),
+        ("robust_gradient_beta", (3,))]
 
 
 @pytest.mark.parametrize("build, name, shape, bad",

@@ -64,13 +64,16 @@ def probe(reg, beta, cfg, radius, n_directions, s, seed):
 
 
 def probe_directions(q, s, radius, n_directions, seed):
-    """The probe's directions in order: each drawn u, then -u."""
+    """The probe's directions in order: each drawn u, then -u.  Direction j's
+    support is the first min(s, q) entries of row j of one block of row-wise
+    permutations of range(q), its values row j of one block of normals."""
     rng = np.random.default_rng(seed)
-    for _ in range(n_directions):
-        support = rng.choice(q, size=min(s, q), replace=False)
+    s = min(s, q)
+    supports = rng.permuted(np.tile(np.arange(q), (n_directions, 1)), axis=1)[:, :s]
+    for support, values in zip(supports, rng.standard_normal((n_directions, s))):
         u = np.zeros(q)
-        u[support] = rng.standard_normal(min(s, q))
-        u *= radius / np.linalg.norm(u)
+        u[support] = values
+        u *= radius / np.linalg.norm(u, axis=-1)  # a row norm: a pairwise sum, as in a block
         yield u
         yield -u
 
@@ -265,23 +268,23 @@ class TestBlockedProbe:
         assert got == pytest.approx(fsum_difference_probe(reg, beta, cfg, 0.7, 150, s, seed=q + s), rel=1e-12)
 
     def test_every_probe_evaluated_once_in_blocks(self, monkeypatch):
-        objective, scored = [], []
-
-        def record_objective(x, y, betas, w, tau):
-            objective.append(betas.copy())
-            return robust_objective_columns(x, y, betas, w, tau)
+        residuals, scored = [], []
 
         def record_block(xw, a, w, tau, block):
+            residuals.append(a)
             scored.append(block.copy())
             return _huber_bregman_sums(xw, a, w, tau, block)
 
-        monkeypatch.setattr(diagnostics, "robust_objective_columns", record_objective)
         monkeypatch.setattr(diagnostics, "_huber_bregman_sums", record_block)
         reg, beta = heavy_tailed_regression(6, 50, seed=15)
-        probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 150, 2, seed=3)
-        # the loss at the truth alone, once; then the probes in blocks
-        (truth,) = objective
-        np.testing.assert_array_equal(truth, [beta])
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        probe(reg, beta, cfg, 0.5, 150, 2, seed=3)
+        # the weighted residuals at the truth, formed once and read by every
+        # block; the probes in blocks
+        assert all(a is residuals[0] for a in residuals)
+        np.testing.assert_array_equal(
+            residuals[0], mallows_weights(reg.x, cfg) * (reg.y - reg.x @ beta)
+        )
         assert [len(b) for b in scored] == [64] * 4 + [44]
         np.testing.assert_array_equal(np.vstack(scored), list(probe_directions(6, 2, 0.5, 150, seed=3)))
 
@@ -373,6 +376,74 @@ class TestBlockedProbe:
         reg, beta = heavy_tailed_regression(3, 20, seed=18)
         re_hat = re_check(reg, beta, RobustConfig(tau=1e300, b=1e300), n_directions=20)
         assert 0.0 <= re_hat < math.inf
+
+
+def drawn_directions(monkeypatch, q, s, radius, n_directions, seed,
+                     default_rng=np.random.default_rng):
+    """The directions the curvature probe scores, in order, seen at its kernel;
+    the probe's generator comes from ``default_rng``."""
+    scored = []
+
+    def record_block(xw, a, w, tau, block):
+        scored.append(block.copy())
+        return _huber_bregman_sums(xw, a, w, tau, block)
+
+    reg, beta = heavy_tailed_regression(q, 10, seed=22)
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_huber_bregman_sums", record_block)
+        m.setattr(np.random, "default_rng", default_rng)
+        probe(reg, beta, RobustConfig(tau=1.0, b=3.0), radius, n_directions, s, seed)
+    return np.vstack(scored)
+
+
+class TestProbeDraw:
+    @pytest.mark.parametrize("q, s", [(1, 1), (4, 1), (7, 3), (5, 5), (3, 8)])
+    def test_rows_are_sparse_pairs_of_norm_radius(self, monkeypatch, q, s):
+        radius = 0.3
+        directions = drawn_directions(monkeypatch, q, s, radius, 500, seed=4)
+        assert directions.shape == (1000, q)
+        assert (np.count_nonzero(directions, axis=1) == min(s, q)).all()
+        norms = np.linalg.norm(directions, axis=1)
+        np.testing.assert_allclose(norms, radius, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(directions[1::2], -directions[0::2])
+
+    def test_seeded(self, monkeypatch):
+        first = drawn_directions(monkeypatch, 6, 2, 0.5, 50, seed=8)
+        np.testing.assert_array_equal(drawn_directions(monkeypatch, 6, 2, 0.5, 50, seed=8), first)
+        other = drawn_directions(monkeypatch, 6, 2, 0.5, 50, seed=9)
+        assert not np.array_equal(other != 0, first != 0)  # other supports
+        assert not np.any(np.isin(other[other != 0], first))  # other values
+
+    @pytest.mark.parametrize("q, s", [(5, 1), (7, 3)])
+    def test_support_is_uniform(self, monkeypatch, q, s):
+        # each coordinate is in a support with probability s/q, independently
+        # across the 20,000 draws
+        draws = 20_000
+        u = drawn_directions(monkeypatch, q, s, 1.0, draws, seed=5)[0::2]
+        share = np.count_nonzero(u, axis=0) / draws
+        sigma = math.sqrt(s / q * (1 - s / q) / draws)
+        assert np.all(np.abs(share - s / q) <= 4 * sigma), share
+
+    def test_zero_row_is_skipped(self, monkeypatch):
+        # the normals of the second direction all drawn 0: it has no norm to
+        # scale to the radius, so neither it nor its negation is probed
+        real_rng = np.random.default_rng
+
+        class SecondRowZero:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def permuted(self, *args, **kwargs):
+                return self._rng.permuted(*args, **kwargs)
+
+            def standard_normal(self, size):
+                values = self._rng.standard_normal(size)
+                values[1] = 0.0
+                return values
+
+        want = drawn_directions(monkeypatch, 6, 2, 0.5, 10, seed=3)
+        got = drawn_directions(monkeypatch, 6, 2, 0.5, 10, seed=3, default_rng=SecondRowZero)
+        np.testing.assert_array_equal(got, np.delete(want, [2, 3], axis=0))
 
 
 CHECKS = {
@@ -516,10 +587,14 @@ class TestReplicationDriver:
             5, 20, 3.0, 1.0, 3.0, c=0.5, replications=3, seed=2, include_re=True,
             n_directions=5,
         )
-        direction = reports[2].min_direction
-        # the minimising probe is some -u, so its four zeros are -0.0
-        assert np.signbit(direction[direction == 0]).tolist() == [True] * 4
+        # a report whose minimising probe is some -u, so that its four zeros are -0.0
+        rep, direction = next(
+            (i, r.min_direction) for i, r in enumerate(reports)
+            if np.signbit(r.min_direction[r.min_direction == 0]).tolist() == [True] * 4
+        )
         path = tmp_path / "diag.csv"
         write_reports_csv(reports, path)
-        cells = path.read_text().splitlines()[3].split(",")[-1].split(" ")
-        assert cells == ["0", "0", "0.16666666666666666", "0", "0"]
+        cells = path.read_text().splitlines()[rep + 1].split(",")[-1].split(" ")
+        assert [float(c) for c in cells] == direction.tolist()
+        zeros = [c for c, v in zip(cells, direction) if v == 0]
+        assert zeros == ["0"] * 4

@@ -223,7 +223,9 @@ class TestRunExperiment:
         data = simulate(dgp, 60, 20, 1)
         fit = FitConfig(RobustConfig(tau=1.0, b=3.0), lambda_mode="explicit", lam=0.05)
         est, _ = fit_var(data, 1, fit)
-        assert checked == ["data"]  # the series where it enters, and not the estimate
+        # the series where it enters, and not the estimate; the design is checked
+        # again by mallows_weights, a public entry point the solver calls by name
+        assert checked == ["data", "x"]
         assert est.coeffs[0].shape == (10, 10) and est.coeffs[0].any()
 
     def test_an_unstable_truth_fails_its_gate(self):
