@@ -7,7 +7,7 @@ smallest remainder-to-squared-norm ratio observed.  Each remainder is summed
 term by term as Huber Bregman divergences of the weighted residuals, each
 nonnegative in floating point, so the check never subtracts two losses; the
 probes are scored in blocks, each value equal, bit for bit, to scoring its
-direction alone.  Both work on a
+direction alone, and a direction drawn twice is scored once.  Both work on a
 ``Regression`` with known truth; the replicated run over the benchmark
 generator, ``experiments.run_deviation_experiment``, passes its lagged design
 to ``diagnostics_replication``, which checks the truth and weights the design
@@ -94,6 +94,22 @@ def _huber_bregman_sums(
     return np.add.reduce(b, axis=1)
 
 
+def _probe_directions(q: int, sparsity_s: int, r: float, n_directions: int, seed: int) -> np.ndarray:
+    """The probe rows (2k, q) in draw order, each drawn u of norm ``r`` then -u; the k
+    draws are those of the ``n_directions`` with a nonzero norm."""
+    rng = np.random.default_rng(seed)
+    s = min(sparsity_s, q)
+    # each support is the first s entries of a random permutation of the q coordinates
+    support = rng.permuted(np.tile(np.arange(q), (n_directions, 1)), axis=1)[:, :s]
+    u = np.zeros((n_directions, q))
+    np.put_along_axis(u, support, rng.standard_normal((n_directions, s)), axis=1)
+    nrm = np.linalg.norm(u, axis=1)
+    u = u[nrm != 0.0] * (r / nrm[nrm != 0.0])[:, None]
+    # curvature is sign-asymmetric away from the quadratic regime, so probe
+    # both u and -u
+    return np.stack((u, -u), axis=1).reshape(-1, q)
+
+
 def _re_probe(
     x: np.ndarray,
     y: np.ndarray,
@@ -106,7 +122,13 @@ def _re_probe(
 ) -> tuple[float, np.ndarray]:
     """Smallest remainder ratio and its direction at ``truth`` (see :func:`_at_truth`); radius
     None is tau / (2 * b_max).  A non-finite loss at the truth raises, as does a radius at which
-    n * radius**2, or the bound 1.5 * n * reach**2 on a remainder sum, leaves the float range."""
+    n * radius**2, or the bound 1.5 * n * reach**2 on a remainder sum, leaves the float range.
+
+    Each distinct direction is scored once, in draw order.  Repeats are common at s = 1, where
+    every probe is +-radius * e_j up to the rounding of radius * z / |z|.  A row equal to an
+    earlier one, also up to the signs of its zeros (those change at most the sign of a zero
+    step xw @ v, which no Bregman term reads), scores bit for bit as the earlier one, so the
+    value and the first minimiser in draw order are those of scoring every row."""
     if radius is None:
         radius = cfg.tau / (2.0 * cfg.b_max)
     _check_real("radius", radius, 0)
@@ -124,17 +146,12 @@ def _re_probe(
     resid = w * (y - x @ beta_star)
     if not math.isfinite(math.fsum(w * _huber(resid, cfg.tau))):
         raise ValueError("the loss at beta_star is not finite")
-    rng = np.random.default_rng(seed)
-    s = min(sparsity_s, q)
-    # each support is the first s entries of a random permutation of the q coordinates
-    support = rng.permuted(np.tile(np.arange(q), (n_directions, 1)), axis=1)[:, :s]
-    u = np.zeros((n_directions, q))
-    np.put_along_axis(u, support, rng.standard_normal((n_directions, s)), axis=1)
-    nrm = np.linalg.norm(u, axis=1)
-    u = u[nrm != 0.0] * (r / nrm[nrm != 0.0])[:, None]
-    # curvature is sign-asymmetric away from the quadratic regime, so probe
-    # both u and -u
-    directions = np.stack((u, -u), axis=1).reshape(-1, q)
+    directions = _probe_directions(q, sparsity_s, r, n_directions, seed)
+    # keep the first copy of each row, in draw order: + 0.0 turns -0.0 into 0.0,
+    # so two rows share their bytes exactly when they are equal as numbers, and
+    # unique's return_index gives the first position of each
+    rows = (directions + 0.0).view(np.dtype((np.void, directions.itemsize * q))).ravel()
+    directions = directions[np.sort(np.unique(rows, return_index=True)[1])]
     ratios = np.empty(len(directions))
     for start in range(0, len(directions), _PROBE_BLOCK):
         block = directions[start : start + _PROBE_BLOCK]

@@ -171,16 +171,12 @@ class TestReCheck:
         gram = x.T @ x / n
         seed, radius, n_dir, s = 7, 0.5, 50, 2
         got = re_check(reg, beta, cfg, radius=radius, n_directions=n_dir, sparsity_s=s, seed=seed)
-        # replay the same probe directions through the quadratic-form oracle
-        probe = np.random.default_rng(seed)
-        best = np.inf
-        for _ in range(n_dir):
-            support = probe.choice(q, size=s, replace=False)
-            u = np.zeros(q)
-            u[support] = probe.standard_normal(s)
-            u *= radius / np.linalg.norm(u)
-            best = min(best, 0.5 * float(u @ gram @ u) / float(u @ u))
-        assert got == pytest.approx(best, rel=0.05)
+        # the same probe directions through the quadratic-form oracle
+        best = min(
+            0.5 * float(u @ gram @ u) / float(u @ u)
+            for u in probe_directions(q, s, radius, n_dir, seed)
+        )
+        assert got == pytest.approx(best, rel=1e-12)
 
     def test_single_direction_matches_hand_computation(self):
         rng = np.random.default_rng(4)
@@ -232,7 +228,7 @@ class TestReCheck:
 
 
 class TestBlockedProbe:
-    @pytest.mark.parametrize("q", [3, 10, 20])
+    @pytest.mark.parametrize("q", [1, 3, 10, 20])
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_equals_one_at_a_time_probe(self, q, s):
         # 150 directions are 300 probes: whole blocks and a partial last one
@@ -287,6 +283,45 @@ class TestBlockedProbe:
         )
         assert [len(b) for b in scored] == [64] * 4 + [44]
         np.testing.assert_array_equal(np.vstack(scored), list(probe_directions(6, 2, 0.5, 150, seed=3)))
+
+    def test_each_distinct_probe_scored_once_in_draw_order(self, monkeypatch):
+        # at s = 1 every probe is +-r * e_j up to the rounding of r * z / |z|,
+        # so most of the 400 drawn rows equal an earlier one
+        scored = []
+
+        def record_block(xw, a, w, tau, block):
+            scored.append(block.copy())
+            return _huber_bregman_sums(xw, a, w, tau, block)
+
+        monkeypatch.setattr(diagnostics, "_huber_bregman_sums", record_block)
+        reg, beta = heavy_tailed_regression(10, 50, seed=23)
+        probe(reg, beta, RobustConfig(tau=1.0, b=3.0), 0.5, 200, 1, seed=24)
+        first_copies = []
+        for v in probe_directions(10, 1, 0.5, 200, seed=24):
+            if not any(np.array_equal(v, kept) for kept in first_copies):
+                first_copies.append(v)
+        scored = np.vstack(scored)
+        assert len(scored) == len(first_copies) < 100
+        # bytes: each row is its first-drawn copy, zero signs included
+        assert scored.tobytes() == np.array(first_copies).tobytes()
+
+    def test_tied_minimiser_is_its_first_drawn_copy(self, monkeypatch):
+        # two equal columns and a zero residual: every probe +-r * e_j scores
+        # the same, and [-r, 0] is drawn first, then again as -[r, 0] with a -0
+        r = 0.5
+        drawn = np.array([[-r, 0.0], [r, -0.0], [r, 0.0], [-r, -0.0], [0.0, r], [-0.0, -r]])
+        monkeypatch.setattr(diagnostics, "_probe_directions", lambda *args: drawn.copy())
+        column = np.random.default_rng(25).standard_t(3.0, 40)
+        reg = Regression(np.zeros(40), np.column_stack((column, column)))
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        got, direction = probe(reg, np.zeros(2), cfg, r, 3, 1, seed=0)
+        w = mallows_weights(reg.x, cfg)
+        alone = [_huber_bregman_sums(reg.x * w[:, None], np.zeros(40), w, cfg.tau, v[None, :])[0]
+                 for v in drawn]
+        assert len(set(alone)) == 1
+        assert got == alone[0] / (40 * r * r)
+        assert direction.tobytes() == drawn[0].tobytes()
+        assert direction.tobytes() != drawn[3].tobytes()  # the copy with a -0
 
     @pytest.mark.parametrize("tau", [1.0, 1e-100, 1e100])
     @pytest.mark.parametrize("weight", [1.0, 0.37])
@@ -380,20 +415,22 @@ class TestBlockedProbe:
 
 def drawn_directions(monkeypatch, q, s, radius, n_directions, seed,
                      default_rng=np.random.default_rng):
-    """The directions the curvature probe scores, in order, seen at its kernel;
-    the probe's generator comes from ``default_rng``."""
-    scored = []
+    """The directions the curvature probe draws, in order, before it drops
+    repeats; the probe's generator comes from ``default_rng``."""
+    drawn = []
+    real_draw = diagnostics._probe_directions
 
-    def record_block(xw, a, w, tau, block):
-        scored.append(block.copy())
-        return _huber_bregman_sums(xw, a, w, tau, block)
+    def record_draw(*args):
+        drawn.append(real_draw(*args))
+        return drawn[-1]
 
     reg, beta = heavy_tailed_regression(q, 10, seed=22)
     with monkeypatch.context() as m:
-        m.setattr(diagnostics, "_huber_bregman_sums", record_block)
+        m.setattr(diagnostics, "_probe_directions", record_draw)
         m.setattr(np.random, "default_rng", default_rng)
         probe(reg, beta, RobustConfig(tau=1.0, b=3.0), radius, n_directions, s, seed)
-    return np.vstack(scored)
+    (directions,) = drawn
+    return directions
 
 
 class TestProbeDraw:
