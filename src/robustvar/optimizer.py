@@ -37,8 +37,9 @@ class OptimizerConfig:
 
     ``step=None`` (the default) steps by 1/L, where L is the design's gradient
     Lipschitz bound (:func:`_lipschitz_bound`, the largest eigenvalue of the
-    Mallows-weighted Gram matrix), which guarantees monotone descent of the
-    penalized objective; a float is used as a fixed step instead.
+    Mallows-weighted Gram matrix), and takes accelerated steps with a gradient
+    restart; a float is used as a fixed step instead, accelerated too when it is
+    at most 1/L and plain proximal steps (monotone descent up to 2/L) above it.
 
     ``seed`` is checked (an integer in [0, 2**64)) but has no effect: the
     solver draws nothing, and every cold fit starts at zero.
@@ -107,8 +108,17 @@ def proximal_gradient_fit_columns(
     lam*step, with the step of ``opt``, by default 1/L of ``x``) for all
     running columns per iteration.  Column j starts from ``start[:, j]``
     (``start`` is (q, k) and is not modified), by default from zero, and
-    stops on its own once its iterates move by at most ``opt.tol`` or after
+    stops on its own once a step moves it by at most ``opt.tol`` or after
     ``opt.max_iter`` updates.
+
+    A step of at most 1/L (the default) is accelerated (FISTA in the
+    Chambolle-Dossal form): each column takes its gradient at an extrapolated
+    point ``y = beta + s/(s+3) * (beta - beta_prev)``, s its steps since its
+    last restart, and restarts (s = 0) when the new step points against its
+    last move, ``(beta_new - y).(beta_new - beta) < 0`` (O'Donoghue and
+    Candes' gradient scheme).  A longer step takes plain steps (``y = beta``).
+    ``final_change`` is the norm of the last step, ``beta_new - y``.  A cold
+    start is at zero, so its first gradient is the one the screen below takes.
 
     ``lam`` and the Huber cut-off ``tau`` (by default ``cfg.tau``) are each one
     value for all columns or a (k,) array, one per column; the Mallows weights,
@@ -121,16 +131,20 @@ def proximal_gradient_fit_columns(
     q, k = x.shape[1], y.shape[1]
     lam = _per_column("lambda", lam, k, include_zero=True)
     tau = cfg.tau if tau is None else _per_column("tau", tau, k, include_zero=False)
-    start = np.zeros((q, k)) if start is None else _check_shape("start", start, (q, k))
+    cold = start is None
+    start = np.zeros((q, k)) if cold else _check_shape("start", start, (q, k))
     w = mallows_weights(x, cfg)
     lip = _lipschitz_bound(x, w)
     if (step := opt.step) is None:  # 1/L; an all-zero design (L = 0, zero gradient) gets 1
         step = 1.0 / lip if lip > 0 else 1.0
     elif step * lip > 2.0:
         log.warning("step %.3g exceeds 2/L = %.3g, so descent is not guaranteed", step, 2.0 / lip)
+    # momentum needs step <= 1/L (compared as such: step * L can round above 1)
+    accelerate = lip == 0 or step <= 1.0 / lip
     a, wy, back = _weighted_design(x, y, w)  # built once: the weights never depend on beta
+    grad_zero = _weighted_gradient(a, wy, back, None, tau)
     # dual_value also checks that the groups partition the q coordinates
-    lambda_max = dual_value(pen, _weighted_gradient(a, wy, back, None, tau))
+    lambda_max = dual_value(pen, grad_zero)
     zero = lambda_max <= lam
     results: list = [
         FitResult(np.zeros(q), 0, 0.0, True, step, float(lmax)) if z else None
@@ -138,18 +152,32 @@ def proximal_gradient_fit_columns(
     ]
     cols = np.flatnonzero(~zero)  # index of each running column in the input
     beta, wy, lam, tau = start[:, cols], wy[:, cols], _take(lam, cols), _take(tau, cols)
+    # the point the gradient is taken at, and each column's steps since its last restart
+    point, since = beta, np.zeros(cols.size)
     it = 0
     while cols.size:
         it += 1
-        g = _weighted_gradient(a, wy, back, beta, tau)
-        stepped = np.subtract(beta, np.multiply(g, step, out=g), out=g)
+        # a cold start is at zero, where the screen has already taken the gradient
+        if it == 1 and cold:
+            g = grad_zero.take(cols, axis=1)  # C-ordered, as a fresh gradient is
+        else:
+            g = _weighted_gradient(a, wy, back, point, tau)
+        stepped = np.subtract(point, np.multiply(g, step, out=g), out=g)
         # unvalidated prox; a column has a non-finite change exactly when it diverged
         beta_new = prox(pen, stepped, lam * step)
-        d = np.subtract(beta_new, beta, out=stepped)
-        # the sum np.linalg.norm(axis=0) computes, bit for bit, in the stepped buffer
-        change = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=0))
+        d = np.subtract(beta_new, point, out=stepped)
+        # the sum np.linalg.norm(axis=0) computes, bit for bit
+        change = np.sqrt(np.add.reduce(d * d, axis=0))
         if not np.isfinite(change).all() and not (ok := np.isfinite(beta_new).all(axis=0)).all():
             raise DivergenceError(it, int(cols[np.argmin(ok)]))
+        if accelerate:  # restart where the step turns against the last move
+            moved = np.subtract(beta_new, beta)
+            restart = np.add.reduce(np.multiply(d, moved, out=d), axis=0) < 0
+            since = np.where(restart, 0.0, since + 1.0)
+            np.multiply(moved, since / (since + 3.0), out=moved)
+            point = np.add(beta_new, moved, out=moved)
+        else:
+            point = beta_new
         beta = beta_new
         done = (change <= opt.tol) | (it == opt.max_iter)
         if done.any():
@@ -159,6 +187,6 @@ def proximal_gradient_fit_columns(
                     float(lambda_max[cols[i]]),
                 )
             keep = ~done
-            cols, beta, wy = cols[keep], beta[:, keep], wy[:, keep]
-            lam, tau = _take(lam, keep), _take(tau, keep)
+            cols, beta, point, since = cols[keep], beta[:, keep], point[:, keep], since[keep]
+            wy, lam, tau = wy[:, keep], _take(lam, keep), _take(tau, keep)
     return results

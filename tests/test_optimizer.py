@@ -67,6 +67,41 @@ class TestProximalGradientFit:
             f_cd = objective_at(reg, ref, cfg) + lam * penalty_norm(pen, ref)
             assert f_pg <= f_cd + 1e-6
 
+    @pytest.mark.parametrize("seed, count", [(2, 5), (3, 20)], ids=["twin", "acceptance_04"])
+    def test_default_step_matches_coordinate_descent(self, seed, count):
+        # the instances of test_matches_coordinate_descent and acceptance test 04,
+        # fitted at the default step, which accelerates
+        rng = np.random.default_rng(seed)
+        pen, lam, cfg = Penalty("l1"), 0.1, RobustConfig(tau=1.0, b=3.0)
+        for k in range(count):
+            n, q = 50, 3
+            x = rng.standard_normal((n, q)) * 1.5
+            y = x @ rng.standard_normal(q) + rng.standard_normal(n)
+            reg = Regression(y, x)
+            opt = OptimizerConfig(tol=1e-9, max_iter=50000)
+            res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
+            ref = cd_robust_lasso(y, x, lam, 1.0, 3.0)
+            f_pg = objective_at(reg, res.beta_hat, cfg) + lam * penalty_norm(pen, res.beta_hat)
+            f_cd = objective_at(reg, ref, cfg) + lam * penalty_norm(pen, ref)
+            assert res.converged
+            assert f_pg <= f_cd + 1e-6
+
+    def test_acceleration_cuts_iterations(self):
+        # a count, not a timing: on this batch the default step takes 146
+        # column-iterations and plain steps of just over 1/L take 241 (0.61x)
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((200, 20)) * 1.5
+        y = x @ (rng.standard_normal((20, 12)) * (rng.random((20, 12)) < 0.3))
+        y += rng.standard_t(3, (200, 12))
+        cfg = RobustConfig(tau=1.0, b=3.0)
+        plain_step = (1 + 1e-9) / lipschitz(x, cfg)
+        counts = []
+        for opt in (OptimizerConfig(), OptimizerConfig(step=plain_step)):
+            res = proximal_gradient_fit_columns(x, y, cfg, Penalty("l1"), 0.05, opt)
+            assert all(r.converged for r in res)
+            counts.append(sum(r.iterations for r in res))
+        assert counts[0] <= 0.75 * counts[1]
+
     def test_group_penalty_runs(self, monkeypatch):
         checked = []
         check = Penalty.check_coverage
@@ -95,7 +130,7 @@ class TestProximalGradientFit:
             )
         rng = np.random.default_rng(15)
         x = rng.standard_normal((60, 4)) * 2
-        # columns of unequal size: from zero they take 10, 16 and 40 iterations
+        # columns of unequal size: from zero they take 8, 10 and 20 iterations
         y = x @ (rng.standard_normal((4, 3)) * [0.2, 1.0, 5.0]) + rng.standard_t(3, (60, 3))
         res = proximal_gradient_fit_columns(
             x, y, RobustConfig(tau=1, b=3), Penalty("l1"), 0.01, OptimizerConfig()
@@ -104,7 +139,8 @@ class TestProximalGradientFit:
         assert len({r.iterations for r in res}) > 1  # the batch narrows as columns stop
         assert built == [(60, 3)]  # once per fit for all columns, not once per iteration
 
-    def test_monotone_descent_with_default_step(self):
+    def test_monotone_descent_with_plain_steps(self):
+        # a step above 1/L takes plain proximal steps, which still descend up to 2/L
         rng = np.random.default_rng(4)
         for k in range(5):
             n, q = 40, 4
@@ -113,8 +149,9 @@ class TestProximalGradientFit:
             reg = Regression(y, x)
             cfg = RobustConfig(tau=1, b=3)
             pen, lam = Penalty("l1"), 0.05
+            step = 1.5 / lipschitz(reg.x, cfg)
             res = proximal_gradient_fit_columns(
-                reg.x, reg.y[:, None], cfg, pen, lam, OptimizerConfig(tol=1e-8)
+                reg.x, reg.y[:, None], cfg, pen, lam, OptimizerConfig(step=step, tol=1e-8)
             )[0]
             # rebuild every iterate from zero with the public pieces of one step
             beta, objective = np.zeros(q), []
@@ -124,6 +161,37 @@ class TestProximalGradientFit:
                 objective.append(objective_at(reg, beta, cfg) + lam * penalty_norm(pen, beta))
             assert np.all(np.diff(objective) <= 1e-10)
             np.testing.assert_array_equal(beta, res.beta_hat)
+
+    def test_accelerated_steps_replay(self):
+        # the default step takes accelerated steps: rebuild them from zero with
+        # the public gradient and prox, the momentum and the restart rule
+        rng = np.random.default_rng(4)
+        restarts = 0
+        for k in range(5):
+            n, q = 40, 4
+            x = rng.standard_normal((n, q)) * 3
+            y = x @ rng.standard_normal(q) + rng.standard_normal(n) * 2
+            reg = Regression(y, x)
+            cfg = RobustConfig(tau=1, b=3)
+            pen, lam, opt = Penalty("l1"), 0.05, OptimizerConfig(tol=1e-8)
+            res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
+            beta = point = np.zeros(q)
+            since, it, change = 0, 0, np.inf
+            while change > opt.tol and it < opt.max_iter:
+                it += 1
+                g = robust_gradient(reg, point, cfg)
+                beta_new = prox(pen, (point - res.step * g)[:, None], lam * res.step)[:, 0]
+                # the stop measures the step from the point the gradient was taken at
+                change = np.sqrt(np.sum((beta_new - point) ** 2))
+                if np.sum((beta_new - point) * (beta_new - beta)) < 0:
+                    since, restarts = 0, restarts + 1
+                else:
+                    since += 1
+                point = beta_new + since / (since + 3) * (beta_new - beta)
+                beta = beta_new
+            assert (it, change) == (res.iterations, res.final_change)
+            np.testing.assert_array_equal(beta, res.beta_hat)
+        assert restarts > 0
 
     def test_default_step_is_inverse_curvature(self):
         rng = np.random.default_rng(14)
@@ -412,6 +480,24 @@ class TestStart:
             g = robust_gradient(Regression(y[:, j], x), np.zeros(4), cfg)
             expected = prox(pen, -0.1 * g[:, None], 0.05 * 0.1)[:, 0]
             np.testing.assert_allclose(res.beta_hat, expected, rtol=0, atol=1e-15)
+
+    def test_cold_start_reuses_the_screen_gradient(self, monkeypatch):
+        calls = []
+        real = losses._weighted_gradient
+        for module in (losses, optimizer):
+            monkeypatch.setattr(
+                module, "_weighted_gradient",
+                lambda a, wy, back, beta, tau: calls.append(beta is None)
+                or real(a, wy, back, beta, tau),
+            )
+        x, y, cfg = TestZeroScreen.problem()
+        pen, opt = Penalty("l1"), OptimizerConfig(tol=1e-8)
+        passes = max(r.iterations for r in proximal_gradient_fit_columns(x, y, cfg, pen, 0.05, opt))
+        # m loop passes take m gradients: the screen's at zero serves the first pass
+        assert calls == [True] + [False] * (passes - 1)
+        calls.clear()
+        proximal_gradient_fit_columns(x, y, cfg, pen, 0.05, opt, np.zeros((4, 6)))
+        assert calls == [True] + [False] * passes  # a given start takes its own first gradient
 
     def test_seed_has_no_effect(self):
         x, y, cfg = TestZeroScreen.problem()
