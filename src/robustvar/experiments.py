@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import logging
@@ -36,7 +37,7 @@ from .penalties import Penalty
 from .simulate import (
     SimulationError, StudentTNoise, VarTDgp, gen_er_transition, simulate, simulate_paths,
 )
-from .var import FitConfig, VarModel, _Unchecked
+from .var import FitConfig, VarModel, _Unchecked, estimation_error
 
 __all__ = [
     "CALIBRATED_C",
@@ -83,10 +84,12 @@ MAX_PATH_RETRIES = 10
 _STACK_BYTES = 8 << 20
 
 
-def _stacks(items: list, steps: int, p: int) -> list[list]:
+def _stacks(items: list, steps: int, p: int, workers: int = 1) -> list[list]:
     """``items`` cut into consecutive runs, one stacked recursion each: as many
-    paths of ``steps`` x ``p`` as ``_STACK_BYTES`` holds, and at least one."""
-    size = max(1, _STACK_BYTES // (16 * steps * p))
+    paths of ``steps`` x ``p`` as ``_STACK_BYTES`` holds, and at least one, but
+    no more than a ``workers``-th share of the items, so that every worker
+    gets some."""
+    size = max(1, min(_STACK_BYTES // (16 * steps * p), math.ceil(len(items) / workers)))
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
@@ -254,49 +257,32 @@ def _run_cell_rep(spec: ExperimentSpec, fit: FitConfig, lams: list[float],
         data[:-1], np.tile(data[1:], levels), fit.robust, fit.penalty,
         np.repeat(lams, p), fit.opt, tau=np.repeat(spec.tau_grid, p),
     )
-    # each level's estimation error (as ``estimation_error`` scores it): the
-    # largest column norm of its block of the tau-major estimate minus the truth
-    est = np.column_stack([r.beta_hat for r in results])
-    norms = np.linalg.norm(est - np.tile(dgp.model.coeffs[0], levels), axis=0)
-    for row, i, error in zip(rows, range(0, levels * p, p), norms.reshape(levels, p).max(axis=1)):
+    est = np.column_stack([r.beta_hat for r in results])  # tau-major: one p-column block per level
+    for row, i in zip(rows, range(0, levels * p, p)):
         level = results[i:i + p]
         row.update(
-            error=float(error),
+            error=estimation_error(VarModel(_Unchecked((est[:, i:i + p],))), dgp.model),
             iterations=max(r.iterations for r in level),
             converged=all(r.converged for r in level),
         )
     return rows
 
 
-def _run_stack(spec: ExperimentSpec, fit: FitConfig, lams: list[float],
-               tasks: list[tuple[int, float, int, int]], n: int) -> list[list[dict]]:
-    """The rows of each of a list of tasks of one n, in task order, their
-    attempt-0 paths drawn by one stacked recursion."""
+def _run_stack(spec: ExperimentSpec, tasks: list[tuple[int, float, int, int]]) -> list[list[dict]]:
+    """The rows of each of a list of (cell index, df, n, rep) tasks of one n,
+    in task order, their attempt-0 paths drawn by one stacked recursion.  The
+    fit settings of each tau, and their tuning values at this n, are built
+    once per stack."""
+    n = tasks[0][2]
+    fits = [spec.fit_config(tau) for tau in spec.tau_grid]
+    lams = [fit.lambda_for(spec.p, 1, n - 1) for fit in fits]
     rep_seeds = [derive_seed(spec.seed, cell_index, rep) for cell_index, _, _, rep in tasks]
     dgps = [_study_dgp(spec.p, spec.density, spec.rho_target, df, rep_seed)
             for (_, df, _, _), rep_seed in zip(tasks, rep_seeds)]
     paths = simulate_paths(dgps, n, spec.burn_in,
                            [derive_seed(rep_seed, 1, 0) for rep_seed in rep_seeds])
-    return [_run_cell_rep(spec, fit, lams, task, rep_seed, dgp, data)
+    return [_run_cell_rep(spec, fits[0], lams, task, rep_seed, dgp, data)
             for task, rep_seed, dgp, data in zip(tasks, rep_seeds, dgps, paths)]
-
-
-def _run_batch(args: tuple[ExperimentSpec, list[tuple[int, float, int, int]]]) -> list[list[dict]]:
-    """The rows of each of a list of (cell index, df, n, rep) tasks, in task
-    order.  Tasks that share an n run in stacks (see ``_stacks``), each drawn
-    and fitted before the next is drawn.  The fit settings of each tau, and
-    their tuning values at each n, are built once per batch."""
-    spec, tasks = args
-    fits = [spec.fit_config(tau) for tau in spec.tau_grid]
-    rows: list[list[dict]] = [[] for _ in tasks]
-    for n in dict.fromkeys(n for _, _, n, _ in tasks):
-        lams = [fit.lambda_for(spec.p, 1, n - 1) for fit in fits]
-        group = [i for i, task in enumerate(tasks) if task[2] == n]
-        for stack in _stacks(group, spec.burn_in + n, spec.p):
-            stack_rows = _run_stack(spec, fits[0], lams, [tasks[i] for i in stack], n)
-            for i, task_rows in zip(stack, stack_rows):
-                rows[i] = task_rows
-    return rows
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dict]:
@@ -305,10 +291,11 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
 
     ``workers`` defaults to the ROBUSTVAR_WORKERS environment variable (or 1);
     a count that is not an integer of at least 1 raises ValueError naming it.
-    The (cell, replication) tasks are dealt out to one batch per worker in
-    turn, so every batch holds a share of each n, and no more workers start
-    than there are tasks.  Output is identical for any worker count: tasks
-    are seeded independently and merged in grid order.
+    The (cell, replication) tasks of each n are cut into stacks (see
+    ``_stacks``), each drawn and fitted in one go; the workers run the stacks,
+    each worker a share of every n, and no more workers start than there are
+    stacks.  Output is identical for any worker count: tasks are seeded
+    independently and their rows put back in grid order.
     """
     name = "workers"
     if workers is None:
@@ -319,15 +306,18 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     # cell indices seed the replications, so this (df, n) order is fixed
     cells = enumerate(itertools.product(spec.df_grid, spec.n_grid))
     tasks = [(ci, df, n, rep) for ci, (df, n) in cells for rep in range(spec.replications)]
-    n_batches = max(1, min(workers, len(tasks)))
-    batches = [(spec, tasks[j::n_batches]) for j in range(n_batches)]
-    if n_batches == 1:
-        chunks = list(map(_run_batch, batches))
+    stacks = [stack for n in dict.fromkeys(spec.n_grid)
+              for stack in _stacks([task for task in tasks if task[2] == n],
+                                   spec.burn_in + n, spec.p, workers)]
+    run = functools.partial(_run_stack, spec)
+    if (processes := min(workers, len(stacks))) == 1:
+        done = list(map(run, stacks))
     else:
-        with ProcessPoolExecutor(max_workers=n_batches) as pool:
-            chunks = list(pool.map(_run_batch, batches))
-    # task i is entry i // n_batches of batch i % n_batches
-    return [row for i in range(len(tasks)) for row in chunks[i % n_batches][i // n_batches]]
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            done = list(pool.map(run, stacks))
+    rows = {task: task_rows for stack, stack_rows in zip(stacks, done)
+            for task, task_rows in zip(stack, stack_rows)}
+    return [row for task in tasks for row in rows[task]]
 
 
 def run_deviation_experiment(

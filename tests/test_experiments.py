@@ -186,7 +186,7 @@ class TestRunExperiment:
             est, _ = fit_var(data, 1, spec.fit_config(row["tau"]))
             assert row["error"] == estimation_error(est, truth)
 
-    def test_one_stacked_recursion_per_n_in_a_batch(self, monkeypatch):
+    def test_one_stacked_recursion_per_n_at_one_worker(self, monkeypatch):
         def no_simulate(*a, **k):
             raise AssertionError("simulate called, but no path failed")
 
@@ -195,7 +195,7 @@ class TestRunExperiment:
         run_experiment(tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3))
         assert calls == [(6, 20), (6, 35)]
 
-    def test_settings_built_once_per_batch_and_one_model_per_replication(self, monkeypatch):
+    def test_settings_built_once_per_stack(self, monkeypatch):
         spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
         taus, models = [], []
         fit_config = ExperimentSpec.fit_config
@@ -203,11 +203,13 @@ class TestRunExperiment:
                             lambda self, tau: taus.append(tau) or fit_config(self, tau))
         monkeypatch.setattr(exps, "VarModel", lambda coeffs: models.append(1) or VarModel(coeffs))
         monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)  # the spies see it
-        for workers in (1, 2):
+        # one stack of 6 per n at 1 worker; two of 3 per n at 2
+        for workers, stacks in ((1, 2), (2, 4)):
             taus.clear(), models.clear()
             run_experiment(spec, workers=workers)
-            assert taus == list(spec.tau_grid) * workers
-            assert len(models) == 12  # the truth of each replication, and no estimate
+            assert taus == list(spec.tau_grid) * stacks
+            # the truth of each replication, and the estimate of each of its 2 tau levels
+            assert len(models) == 12 * 3
 
     def test_package_made_values_are_not_checked_again(self, monkeypatch):
         checked, radii = [], []
@@ -267,14 +269,28 @@ class TestRunExperiment:
         assert run_experiment(spec) == expected
         assert calls == [(4, 20), (2, 20), (3, 35), (3, 35)]
 
-    def test_batches_share_each_n(self, monkeypatch):
-        # tasks are dealt out in turn, so each worker draws paths of both n
+    def test_workers_share_each_n(self, monkeypatch):
+        # each n's 6 tasks are cut into one stack per worker, so each worker draws both n
         spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
         expected = run_experiment(spec)
         monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)
         calls = record_stacks(monkeypatch)
         assert run_experiment(spec, workers=2) == expected
-        assert sorted(calls) == [(2, 20), (2, 35), (4, 20), (4, 35)]
+        assert sorted(calls) == [(3, 20), (3, 20), (3, 35), (3, 35)]
+
+    def test_repeated_n_drawn_once(self, monkeypatch):
+        # n=20 labels two cells per df: 12 tasks, and 6 of n=35
+        spec = tiny_spec(p=5, n_grid=(20, 20, 35), df_grid=(2.5, 4.0), replications=3)
+        expected = run_experiment(spec)
+        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)
+        calls = record_stacks(monkeypatch)
+        for workers in (1, 2, 3):
+            calls.clear()
+            assert run_experiment(spec, workers=workers) == expected
+            drawn = collections.Counter()
+            for size, n in calls:
+                drawn[n] += size
+            assert drawn == {20: 12, 35: 6}
 
     @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2"])
     def test_bad_worker_count_rejected(self, monkeypatch, workers):
