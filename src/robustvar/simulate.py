@@ -212,6 +212,11 @@ class ArchVarDgp:
     Default (parametric) form: coordinate j of the noise is scaled by
     sqrt(f[j] + z'F[j]z), with positive offsets f and positive-semidefinite
     scale matrices F; stability requires radius(B)^2 + max_j radius(F_j) < 1.
+    When every F_j is diagonal (the diagonal ARCH form), :func:`simulate`
+    sums z_k * F_j[k, k] * z_k for each form instead of taking p x p
+    products.  That is bit-identical to z @ F_j @ z when each F_j has at most
+    one nonzero entry; with more the sum may round in another order, and the
+    path moves by at most 1e-14 of its largest entry (tested).
 
     Alternatively ``sigma_fn`` may supply an arbitrary scale map z -> matrix
     (or per-coordinate vector); callbacks are accepted unchecked beyond the
@@ -514,11 +519,14 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
     Returns an (n, p) array, one row per time point.  The path's primary
     noise is drawn in a single block up front from ``default_rng(seed)``;
     the random-coefficient variant then draws its coefficient perturbations
-    from the same stream, also in one block.  The whole path is checked for
-    finiteness once, after the last step; a non-finite path raises
-    :class:`SimulationError` naming the first non-finite step, and callers
-    may retry with the next substream.  A :class:`VarTDgp` path is the
-    one-path case of :func:`simulate_paths`.
+    from the same stream, also in one block.  Each step writes its new state
+    straight into its own row of the path (the univariate ARCH, whose
+    companion state is longer than a row, copies its first entry there), and
+    a diagonal ARCH-VAR takes the diagonal form (see :class:`ArchVarDgp`).
+    The whole path is checked for finiteness once, after the last step; a
+    non-finite path raises :class:`SimulationError` naming the first
+    non-finite step, and callers may retry with the next substream.  A
+    :class:`VarTDgp` path is the one-path case of :func:`simulate_paths`.
     """
     if isinstance(spec, VarTDgp):
         (path,) = simulate_paths([spec], n, burn_in, [seed])
@@ -535,101 +543,115 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         p = spec.b.shape[0]
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
-        state = np.zeros(p)
         if spec.sigma_fn is not None:
 
             def step(t, z):
                 scale = np.asarray(spec.sigma_fn(z), dtype=np.float64)
                 shock = scale @ eta[t] if scale.ndim == 2 else scale * eta[t]
-                return bt @ z + shock
+                row = np.matmul(bt, z, out=out[t])
+                row += shock
+                return row
 
         else:
             f_arr = np.asarray(spec.f)
             f_stack = np.stack(spec.f_mats)
+            f_diag = np.diagonal(f_stack, axis1=1, axis2=2).copy()
+            diagonal = np.array_equal(f_stack, f_diag[:, :, None] * np.eye(p))
 
             def step(t, z):
-                # all p forms z'F_j z at once: one row-by-column product per
-                # j, which rounds exactly like z @ F_j @ z
-                quad = np.matmul((z @ f_stack)[:, None, :], z[:, None])[:, 0, 0]
+                # all p forms z'F_j z at once: for diagonal F_j the sums of
+                # z_k * F_j[k, k] * z_k, else one row-by-column product per j,
+                # which rounds exactly like z @ F_j @ z
+                if diagonal:
+                    quad = (z * f_diag) @ z
+                else:
+                    quad = np.matmul((z @ f_stack)[:, None, :], z[:, None])[:, 0, 0]
                 sig = np.sqrt(f_arr + quad)
-                z = bt @ z
-                z += sig * eta[t]
-                return z
+                row = np.matmul(bt, z, out=out[t])
+                row += sig * eta[t]
+                return row
 
     elif isinstance(spec, UnivariateArchDgp):
         p = 1
         m = spec.companion()
         eta = sample_noise(spec.noise, (steps, 1), rng)
         d_vec = np.asarray(spec.d)
-        state = np.zeros(len(spec.b))
 
         def step(t, state):
             sig = np.sqrt(spec.d0 + d_vec @ (state * state))
             state = m @ state
             state[0] += sig * eta[t, 0]
+            out[t] = state[0]  # the companion state is longer than a row
             return state
 
     elif isinstance(spec, BekkVarDgp):
         p = spec.b.shape[0]
         bt = np.ascontiguousarray(spec.b.T)
         eta = sample_noise(spec.noise, (steps, p), rng)
-        state = np.zeros(p)
         c = spec._scalar_c()
         if c is None:
 
             def step(t, z):
                 try:
-                    scale = spec._eigh_scale(z)
+                    shock = spec._eigh_scale(z) @ eta[t]
                 except np.linalg.LinAlgError:  # eigh does not converge on a non-finite matrix
-                    return np.full(p, np.nan)
-                return bt @ z + scale @ eta[t]
+                    shock = np.nan
+                row = np.matmul(bt, z, out=out[t])
+                row += shock
+                return row
 
         else:
             # one product gives both B'z and u = F'z
             bft = np.concatenate([bt, spec.f.T])
             root_c = math.sqrt(c)
             root_c_eta = root_c * eta
+            w = np.empty(2 * p)
+            bz, u = w[:p], w[p:]
 
             def step(t, z):
                 # B'z plus the closed-form scale of scale_at times eta[t]
-                w = bft @ z
-                z, u = w[:p], w[p:]
+                np.matmul(bft, z, out=w)
                 cs = c + u @ u
+                row = np.add(bz, root_c_eta[t], out=out[t])
                 if cs == math.inf:  # an overflowing scale fails the path, as with eigh
-                    return np.full(p, np.nan)
-                z += root_c_eta[t]
-                z += ((u @ eta[t]) / (math.sqrt(cs) + root_c)) * u
-                return z
+                    row.fill(np.nan)
+                else:
+                    row += ((u @ eta[t]) / (math.sqrt(cs) + root_c)) * u
+                return row
 
     elif isinstance(spec, ThresholdVarDgp):
         p = spec.models[0].shape[0]
         bts = [np.ascontiguousarray(m.T) for m in spec.models]
         eta = sample_noise(spec.noise, (steps, p), rng)
-        state = np.zeros(p)
 
         def step(t, z):
-            return bts[_region(spec.partition, z)] @ z + eta[t]
+            row = np.matmul(bts[_region(spec.partition, z)], z, out=out[t])
+            row += eta[t]
+            return row
 
     elif isinstance(spec, RcVarDgp):
         p = spec.b.shape[0]
         eta = sample_noise(spec.noise, (steps, p), rng)
         gammas = rng.normal(0.0, spec.gamma_sd, (steps, p, p))
-        state = np.zeros(p)
+        gammas += spec.b.T  # each step's coefficient matrix B' + G_t
 
         def step(t, z):
-            return (spec.b.T + gammas[t]) @ z + eta[t]
+            row = np.matmul(gammas[t], z, out=out[t])
+            row += eta[t]
+            return row
 
     else:
         raise TypeError(f"unknown process spec {type(spec).__name__}")
 
     out = np.empty((steps, p))
-    # Any overflow or invalid value leaves a non-finite state, which the
-    # check below reports with its step; without errstate a failed path
-    # would warn again on every later step.
+    state = np.zeros(len(spec.b) if isinstance(spec, UnivariateArchDgp) else p)
+    # Each step writes its state into its own row of ``out`` (the univariate
+    # ARCH copies its lag-1 entry there).  Any overflow or invalid value
+    # leaves a non-finite state, which the check below reports with its step;
+    # without errstate a failed path would warn again on every later step.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
             state = step(t, state)
-            out[t] = state[:p]
     error = _first_bad_step(out)
     if error is not None:
         raise error

@@ -168,7 +168,10 @@ def estimation_error(b_hat: VarModel, b_true: VarModel) -> float:
         raise ValueError(
             f"model shapes differ: (p={b_hat.p}, d={b_hat.d}) vs (p={b_true.p}, d={b_true.d})"
         )
-    diff = b_hat.stacked() - b_true.stacked()
+    if b_hat.d == 1:  # one lag: no stacked copies to make
+        diff = b_hat.coeffs[0] - b_true.coeffs[0]
+    else:
+        diff = b_hat.stacked() - b_true.stacked()
     return float(np.max(np.linalg.norm(diff, axis=0)))
 
 

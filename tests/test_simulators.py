@@ -246,6 +246,74 @@ class TestSimulate:
             path.append(z)
         np.testing.assert_array_equal(simulate(spec, n, burn_in, seed), np.array(path)[burn_in:])
 
+    def test_arch_var_single_entry_diagonal_scales_replay_bit_for_bit(self):
+        # at most one nonzero entry per F_j (the diagonal ARCH design): every
+        # form z'F_j z is one product, so the diagonal form rounds like z @ F_j @ z
+        rng = np.random.default_rng(35)
+        p, n, burn_in = 6, 150, 50
+        b = rng.standard_normal((p, p))
+        b *= 0.4 / np.linalg.norm(b, 2)
+        mats = [np.diag(rng.uniform(0.05, 0.3) * (np.arange(p) == k))
+                for k in rng.permutation(p)]
+        mats[2] = np.zeros((p, p))
+        spec = ArchVarDgp(b=b, f=tuple(rng.uniform(0.5, 2.0, p)), f_mats=tuple(mats),
+                          noise=StudentTNoise(3.0))
+        for seed in (1, 2, 3):
+            np.testing.assert_array_equal(simulate(spec, n, burn_in, seed),
+                                          reference_arch_path(spec, n, burn_in, seed))
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_arch_var_diagonal_scales_within_round_off(self, p):
+        # with several nonzero entries per diagonal F_j, (z * diag(F_j)) @ z may
+        # sum its products in another order than z @ F_j @ z; each scale moves by
+        # a few ulps, and the stable recursion keeps the path within round-off
+        rng = np.random.default_rng(36 + p)
+        b = rng.standard_normal((p, p))
+        b *= 0.4 / np.linalg.norm(b, 2)
+        mats = [np.diag(rng.uniform(0.0, 0.3 / p, p)) for _ in range(p)]
+        spec = ArchVarDgp(b=b, f=tuple(rng.uniform(0.5, 2.0, p)), f_mats=tuple(mats),
+                          noise=StudentTNoise(3.0))
+        for seed in (1, 2, 3):
+            path = simulate(spec, 200, 100, seed)
+            want = reference_arch_path(spec, 200, 100, seed)
+            assert np.abs(path - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rc_var_replays_its_recursion(self):
+        # G is drawn after eta from the same stream; a step is (B' + G_t) @ z + eta_t
+        rng = np.random.default_rng(37)
+        p, n, burn_in, seed = 4, 80, 40, 38
+        b = rng.standard_normal((p, p))
+        b *= 0.4 / np.linalg.norm(b, 2)
+        spec = RcVarDgp(b=b, gamma_sd=0.1, noise=StudentTNoise(3.0))
+        draw = np.random.default_rng(seed)
+        eta = sample_noise(spec.noise, (burn_in + n, p), draw)
+        gammas = draw.normal(0.0, spec.gamma_sd, (burn_in + n, p, p))
+        z, path = np.zeros(p), []
+        for g, e in zip(gammas, eta):
+            z = (b.T + g) @ z + e
+            path.append(z)
+        np.testing.assert_array_equal(simulate(spec, n, burn_in, seed), np.array(path)[burn_in:])
+
+    @pytest.mark.parametrize("partition", [SignPartition(),
+                                           IntervalPartition(axis=1, breakpoints=(0.0,))])
+    def test_threshold_var_replays_its_recursion(self, partition):
+        rng = np.random.default_rng(39)
+        p, n, burn_in, seed = 3, 80, 40, 40
+        bts = []
+        for _ in range(2):
+            a = rng.standard_normal((p, p))
+            bts.append(np.ascontiguousarray(a.T) * (0.6 / np.linalg.norm(a, 2)))
+        spec = ThresholdVarDgp(models=tuple(bt.T for bt in bts), partition=partition,
+                               noise=StudentTNoise(3.0))
+        eta = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+        z, path, regions = np.zeros(p), [], []
+        for e in eta:
+            regions.append(partition.region(z))
+            z = bts[regions[-1]] @ z + e
+            path.append(z)
+        assert set(regions) == {0, 1}
+        np.testing.assert_array_equal(simulate(spec, n, burn_in, seed), np.array(path)[burn_in:])
+
     def test_rc_var_zero_gamma_reduces_to_var(self):
         rng = np.random.default_rng(7)
         b = 0.4 * rng.standard_normal((2, 2))
@@ -387,6 +455,19 @@ class TestSimulatePaths:
             simulate_paths([one], 0, 0, [1])
 
 
+def reference_arch_path(spec, n, burn_in, seed):
+    """The parametric ARCH-VAR recursion written out with one z @ F_j @ z per form."""
+    p = spec.b.shape[0]
+    eta = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+    bt, z, path = np.ascontiguousarray(spec.b.T), np.zeros(p), []
+    for e in eta:
+        sig = np.sqrt(np.asarray(spec.f) + np.array([z @ fm @ z for fm in spec.f_mats]))
+        z = bt @ z
+        z += sig * e
+        path.append(z)
+    return np.array(path)[burn_in:]
+
+
 def eigh_root(c, u):
     """The symmetric PSD square root of C + uu' by eigendecomposition."""
     mat = c + np.outer(u, u)
@@ -458,6 +539,27 @@ class TestBekkScale:
             path = simulate(spec, 200, 100, seed)
             want = reference_bekk_path(spec, 200, 100, seed)
             assert np.abs(path - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [2, 10])
+    def test_scalar_c_path_replays_the_closed_form_step(self, p):
+        # B'z and u = F'z from one product, then sqrt(c)*eta + (u'eta / (sqrt(c + u'u) + sqrt(c)))*u
+        rng = np.random.default_rng(41)
+        f = 0.4 * rng.standard_normal((p, p)) / np.sqrt(p)
+        b = 0.3 * np.eye(p) + 0.1 * np.eye(p, k=1)
+        c, n, burn_in = 0.6, 200, 100
+        spec = BekkVarDgp(b=b, c=np.eye(p) * c, f=f, noise=StudentTNoise(3.0))
+        bft, root_c = np.ascontiguousarray(np.vstack([b.T, f.T])), np.sqrt(c)
+        for seed in (1, 2, 3):
+            eta = sample_noise(spec.noise, (burn_in + n, p), np.random.default_rng(seed))
+            z, path = np.zeros(p), []
+            for e in eta:
+                w = bft @ z
+                z, u = w[:p], w[p:]
+                z += root_c * e
+                z += ((u @ e) / (np.sqrt(c + u @ u) + root_c)) * u
+                path.append(z)
+            np.testing.assert_array_equal(simulate(spec, n, burn_in, seed),
+                                          np.array(path)[burn_in:])
 
     @pytest.mark.parametrize("c", [np.eye(2), np.eye(10), np.diag([0.4, 0.5, 0.7])],
                              ids=["scalar_p2", "scalar_p10", "general_p3"])
