@@ -78,9 +78,10 @@ CSV_FIELDS, CSV_KINDS = (list(column) for column in zip(*CSV_SCHEMA))
 
 MAX_PATH_RETRIES = 10
 
-# Most bytes of noise and path that one stacked recursion holds (two
-# (burn_in + n, p) float arrays per path): bounds a worker's memory, whatever
-# the number, length or dimension of the paths.
+# Most bytes of noise and state that one stacked recursion holds while it runs
+# (two (burn_in + n, p) float arrays per path at lag 1, the lag of every study
+# and diagnose stack): bounds a worker's memory, whatever the number, length or
+# dimension of the paths.  Each drawn path keeps only its own n rows.
 _STACK_BYTES = 8 << 20
 
 

@@ -2,10 +2,12 @@
 
 Each data-generating process validates its own stability criterion at
 construction time and simulates by iterating its recursion from a zero state,
-discarding a burn-in prefix.  Each path draws all its noise from its own
-seeded generator, and linear VAR paths stacked into one recursion
-(:func:`simulate_paths`) each equal their single path bit for bit, so results
-are independent of how replications are batched or scheduled across workers.
+discarding a burn-in prefix: step t writes its state into row t + 1 of one
+state array.  A drawn path is an (n, p) array of its own, so the burn-in rows
+and the noise are freed when the draw returns.  Each path draws all its noise
+from its own seeded generator, and linear VAR paths stacked into one recursion
+(:func:`simulate_paths`) equal their single paths bit for bit, so results are
+independent of how replications are batched or scheduled across workers.
 """
 
 from __future__ import annotations
@@ -454,14 +456,14 @@ def gen_er_transition(
     )
 
 
-def _first_bad_step(rows: np.ndarray) -> SimulationError | None:
-    """The error for a path whose (steps, p) ``rows`` hold a non-finite value.
-    The lagged parts of a state are earlier rows, so the first non-finite row
-    is the first step whose state was non-finite."""
+def _own_rows(rows: np.ndarray, n: int) -> np.ndarray | SimulationError:
+    """The last ``n`` of a path's (steps, p) ``rows`` as an array of their own, or
+    the error naming the first non-finite row's step: the lagged parts of a
+    state are earlier rows, so that is the first step whose state was non-finite."""
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         return SimulationError(f"non-finite state at step {int(bad.argmax()) + 1}")
-    return None
+    return rows[-n:].copy()
 
 
 def simulate_paths(
@@ -475,9 +477,11 @@ def simulate_paths(
     product per step.  Each path is checked for finiteness on its own: the
     entry of a path that turned non-finite is the :class:`SimulationError`
     that :func:`simulate` raises for it, and the other paths are unaffected.
-    The stack holds the noise and the output of every path, burn-in
-    included, and each returned path is a view of that output, so a caller
-    bounds memory by the number of paths it stacks.
+    While it runs, the stack holds the noise and the states of every path,
+    burn-in included: per path and step, p values of noise and d*p of state.
+    A caller bounds memory by the number of paths it stacks.  Each returned
+    path is an (n, p) array of its own, so the burn-in rows and the noise
+    are freed when the call returns.
     """
     _check_int("n", n, 1)
     _check_int("burn_in", burn_in, 0)
@@ -497,42 +501,48 @@ def simulate_paths(
     eps = np.empty((steps, len(specs), p))
     for r, (spec, seed) in enumerate(zip(specs, seeds)):
         eps[:, r] = sample_noise(spec.noise, (steps, p), np.random.default_rng(seed))
-    out = np.empty((len(specs), steps, p))
-    # two alternating state buffers, shaped (R, k, 1) so that each path's
-    # product is one matrix-vector product, which rounds like ``m @ state``
-    a, b = np.zeros((len(specs), k, 1)), np.empty((len(specs), k, 1))
-    legs = ((a, b, b[:, :p, 0]), (b, a, a[:, :p, 0]))
+    # row t + 1 holds each path's state after step t, shaped (R, k, 1) so that
+    # each path's product is one matrix-vector product, which rounds like
+    # ``m @ state``; row 0 is the zero start
+    states = np.zeros((steps + 1, len(specs), k, 1))
+    heads = states[1:, :, :p, 0]  # each step's new values, (steps, R, p)
     # as in simulate, the check after the loop reports any overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            state, nxt, head = legs[t & 1]
+        state = states[0]
+        for nxt, head, noise in zip(states[1:], heads, eps):
             np.matmul(m, state, out=nxt)
-            head += eps[t]
-            out[:, t] = head
-    errors = [_first_bad_step(rows) for rows in out]
-    return [rows[burn_in:] if error is None else error for rows, error in zip(out, errors)]
+            head += noise
+            state = nxt
+    return [_own_rows(heads[:, r], n) for r in range(len(specs))]
 
 
 def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
     """Run a process for burn_in + n steps from a zero state and keep the last n.
 
-    Returns an (n, p) array, one row per time point.  The path's primary
+    Returns an (n, p) array of its own, one row per time point: the burn-in
+    rows and the noise are freed when the call returns.  The path's primary
     noise is drawn in a single block up front from ``default_rng(seed)``;
     the random-coefficient variant then draws its coefficient perturbations
     from the same stream, also in one block.  Each step writes its new state
-    straight into its own row of the path (the univariate ARCH, whose
-    companion state is longer than a row, copies its first entry there), and
-    a diagonal ARCH-VAR takes the diagonal form (see :class:`ArchVarDgp`).
-    The whole path is checked for finiteness once, after the last step; a
-    non-finite path raises :class:`SimulationError` naming the first
-    non-finite step, and callers may retry with the next substream.  A
-    :class:`VarTDgp` path is the one-path case of :func:`simulate_paths`.
+    (the univariate ARCH's whole companion state) into the next row of one
+    state array, and a diagonal ARCH-VAR takes the diagonal form (see
+    :class:`ArchVarDgp`).  The whole path is checked for finiteness once,
+    after the last step; a non-finite path raises :class:`SimulationError`
+    naming the first non-finite step, and callers may retry with the next
+    substream.  A :class:`VarTDgp` path is the one-path case of
+    :func:`simulate_paths`.
     """
     if isinstance(spec, VarTDgp):
         (path,) = simulate_paths([spec], n, burn_in, [seed])
-        if isinstance(path, SimulationError):
-            raise path
-        return path
+    else:
+        path = _simulate_one(spec, n, burn_in, seed)
+    if isinstance(path, SimulationError):
+        raise path
+    return path
+
+
+def _simulate_one(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray | SimulationError:
+    """:func:`simulate`'s path, or its error, for a process other than :class:`VarTDgp`."""
     _check_int("n", n, 1)
     _check_int("burn_in", burn_in, 0)
     _check_int("seed", seed, 0)
@@ -545,12 +555,11 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         eta = sample_noise(spec.noise, (steps, p), rng)
         if spec.sigma_fn is not None:
 
-            def step(t, z):
+            def step(t, z, row):
                 scale = np.asarray(spec.sigma_fn(z), dtype=np.float64)
                 shock = scale @ eta[t] if scale.ndim == 2 else scale * eta[t]
-                row = np.matmul(bt, z, out=out[t])
+                np.matmul(bt, z, out=row)
                 row += shock
-                return row
 
         else:
             f_arr = np.asarray(spec.f)
@@ -558,7 +567,7 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
             f_diag = np.diagonal(f_stack, axis1=1, axis2=2).copy()
             diagonal = np.array_equal(f_stack, f_diag[:, :, None] * np.eye(p))
 
-            def step(t, z):
+            def step(t, z, row):
                 # all p forms z'F_j z at once: for diagonal F_j the sums of
                 # z_k * F_j[k, k] * z_k, else one row-by-column product per j,
                 # which rounds exactly like z @ F_j @ z
@@ -567,9 +576,8 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
                 else:
                     quad = np.matmul((z @ f_stack)[:, None, :], z[:, None])[:, 0, 0]
                 sig = np.sqrt(f_arr + quad)
-                row = np.matmul(bt, z, out=out[t])
+                np.matmul(bt, z, out=row)
                 row += sig * eta[t]
-                return row
 
     elif isinstance(spec, UnivariateArchDgp):
         p = 1
@@ -577,12 +585,10 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         eta = sample_noise(spec.noise, (steps, 1), rng)
         d_vec = np.asarray(spec.d)
 
-        def step(t, state):
-            sig = np.sqrt(spec.d0 + d_vec @ (state * state))
-            state = m @ state
-            state[0] += sig * eta[t, 0]
-            out[t] = state[0]  # the companion state is longer than a row
-            return state
+        def step(t, z, row):
+            sig = np.sqrt(spec.d0 + d_vec @ (z * z))
+            np.matmul(m, z, out=row)
+            row[0] += sig * eta[t, 0]
 
     elif isinstance(spec, BekkVarDgp):
         p = spec.b.shape[0]
@@ -591,14 +597,13 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         c = spec._scalar_c()
         if c is None:
 
-            def step(t, z):
+            def step(t, z, row):
                 try:
                     shock = spec._eigh_scale(z) @ eta[t]
                 except np.linalg.LinAlgError:  # eigh does not converge on a non-finite matrix
                     shock = np.nan
-                row = np.matmul(bt, z, out=out[t])
+                np.matmul(bt, z, out=row)
                 row += shock
-                return row
 
         else:
             # one product gives both B'z and u = F'z
@@ -608,26 +613,24 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
             w = np.empty(2 * p)
             bz, u = w[:p], w[p:]
 
-            def step(t, z):
+            def step(t, z, row):
                 # B'z plus the closed-form scale of scale_at times eta[t]
                 np.matmul(bft, z, out=w)
                 cs = c + u @ u
-                row = np.add(bz, root_c_eta[t], out=out[t])
+                np.add(bz, root_c_eta[t], out=row)
                 if cs == math.inf:  # an overflowing scale fails the path, as with eigh
                     row.fill(np.nan)
                 else:
                     row += ((u @ eta[t]) / (math.sqrt(cs) + root_c)) * u
-                return row
 
     elif isinstance(spec, ThresholdVarDgp):
         p = spec.models[0].shape[0]
         bts = [np.ascontiguousarray(m.T) for m in spec.models]
         eta = sample_noise(spec.noise, (steps, p), rng)
 
-        def step(t, z):
-            row = np.matmul(bts[_region(spec.partition, z)], z, out=out[t])
+        def step(t, z, row):
+            np.matmul(bts[_region(spec.partition, z)], z, out=row)
             row += eta[t]
-            return row
 
     elif isinstance(spec, RcVarDgp):
         p = spec.b.shape[0]
@@ -635,27 +638,23 @@ def simulate(spec: DgpSpec, n: int, burn_in: int, seed: int) -> np.ndarray:
         gammas = rng.normal(0.0, spec.gamma_sd, (steps, p, p))
         gammas += spec.b.T  # each step's coefficient matrix B' + G_t
 
-        def step(t, z):
-            row = np.matmul(gammas[t], z, out=out[t])
+        def step(t, z, row):
+            np.matmul(gammas[t], z, out=row)
             row += eta[t]
-            return row
 
     else:
         raise TypeError(f"unknown process spec {type(spec).__name__}")
 
-    out = np.empty((steps, p))
-    state = np.zeros(len(spec.b) if isinstance(spec, UnivariateArchDgp) else p)
-    # Each step writes its state into its own row of ``out`` (the univariate
-    # ARCH copies its lag-1 entry there).  Any overflow or invalid value
-    # leaves a non-finite state, which the check below reports with its step;
-    # without errstate a failed path would warn again on every later step.
+    states = np.zeros((steps + 1, len(spec.b) if isinstance(spec, UnivariateArchDgp) else p))
+    # Any overflow or invalid value leaves a non-finite state, which the
+    # check after the loop reports with its step; without errstate a failed
+    # path would warn again on every later step.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            state = step(t, state)
-    error = _first_bad_step(out)
-    if error is not None:
-        raise error
-    return out[burn_in:]
+        z = states[0]
+        for t, row in enumerate(states[1:]):
+            step(t, z, row)
+            z = row
+    return _own_rows(states[1:, :p], n)
 
 
 # ---------------------------------------------------------------------------

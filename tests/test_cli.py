@@ -12,13 +12,16 @@ from robustvar import RobustConfig, mallows_weights, read_series_csv, read_var_m
 from robustvar import cli
 from robustvar.cli import build_parser, cli_main, dgp_from_dict
 from robustvar.optimizer import _lipschitz_bound
+from robustvar._seeds import derive_seed
 from robustvar.simulate import (
     ArchVarDgp,
     BekkVarDgp,
     RcVarDgp,
+    StudentTNoise,
     ThresholdVarDgp,
     UnivariateArchDgp,
     VarTDgp,
+    simulate,
 )
 
 
@@ -80,6 +83,19 @@ class TestSimulateCommand:
         assert run(["simulate", "--p", p, "--n", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: ValueError: p must be at least 1, got {p}\n"
         assert not out.exists()
+
+    def test_model_flag_simulates_the_model_it_reads(self, tmp_path):
+        model = tmp_path / "m.csv"
+        model.write_text("# varmodel p=2 d=2\n0.4,0.1,0.2,0\n-0.1,0.3,0,0.1\n")
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--model", str(model), "--df", "3", "--n", "30",
+                    "--burn-in", "20", "--seed", "4", "--out", str(out)]) == 0
+        truth = read_var_model_csv(model)
+        expected = simulate(VarTDgp(truth, StudentTNoise(3.0)), 30, 20, derive_seed(4, 1))
+        np.testing.assert_array_equal(read_series_csv(out), expected)
+        prov = json.loads((tmp_path / "sim.csv.provenance.json").read_text())
+        assert prov["dgp"] == {"kind": "var_t", "coeffs": [c.tolist() for c in truth.coeffs],
+                               "noise": {"kind": "student_t", "df": 3.0}}
 
 
 class TestFitCommand:
@@ -431,6 +447,14 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert run([]) == 2
+
+    def test_a_broken_pipe_exits_1_quietly(self, monkeypatch, capsys):
+        def closed_reader(path):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "read_var_model_csv", closed_reader)
+        assert run(["check-stability", "--model", "m.csv"]) == 1
+        assert capsys.readouterr() == ("", "")
 
 
 class TestParserReuse:

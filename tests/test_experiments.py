@@ -24,6 +24,7 @@ from robustvar import (
     VarTDgp,
     aggregate,
     case1_medium,
+    case1_medium_heavy,
     case1_small,
     case1_small_heavy,
     case2,
@@ -39,6 +40,7 @@ from robustvar import (
 from robustvar._seeds import derive_seed
 from robustvar.experiments import spec_from_dict, spec_to_dict, write_provenance
 from robustvar.simulate import SimulationError
+from robustvar import svgplot
 from robustvar.svgplot import emit_svg_lines
 
 sim = importlib.import_module("robustvar.simulate")  # the package's ``simulate`` is the function
@@ -79,6 +81,14 @@ class TestSpecAndPresets:
         heavy = case1_small_heavy()
         assert heavy.df_grid == (2.5, 2.75, 3.0, 3.25, 3.5)
         assert heavy.replications == 20
+
+    def test_case1_medium_heavy_preset(self):
+        spec = case1_medium_heavy(seed=3, replications=4)
+        assert (spec.case, spec.p, spec.n_grid) == ("case1_df_sweep", 30, (60,))
+        assert spec.df_grid == (2.5, 2.75, 3.0, 3.25, 3.5)
+        assert spec.tau_grid == (1.0, 10.0)
+        assert (spec.seed, spec.replications) == (3, 4)
+        assert case1_medium_heavy().replications == 20
 
     def test_case23_presets(self):
         c2, c3 = case2(), case3()
@@ -521,3 +531,26 @@ class TestSvg:
     def test_missing_field_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_svg_lines([{"a": 1}], "n", "tau", tmp_path / "x.svg")
+
+    def test_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="^no rows to plot$"):
+            emit_svg_lines([], "n", "tau", path)
+        assert not path.exists()
+
+    def test_only_nan_errors_rejected(self, tmp_path):
+        rows = [{"tau": 1.0, "n": n, "error": math.nan} for n in (30, 60)]
+        with pytest.raises(ValueError, match="^no finite errors to plot$"):
+            emit_svg_lines(rows, "n", "tau", tmp_path / "x.svg")
+
+    def test_all_zero_errors_take_a_unit_axis(self, tmp_path):
+        # a flat series has no height of its own: the y axis spans [0, 1]
+        rows = [{"tau": 1.0, "n": n, "error": 0.0} for n in (30, 60, 120) for _ in range(2)]
+        path = tmp_path / "flat.svg"
+        emit_svg_lines(rows, "n", "tau", path)
+        root = ET.parse(path).getroot()
+        poly = root.find(".//{http://www.w3.org/2000/svg}polyline")
+        ys = {float(pt.split(",")[1]) for pt in poly.get("points").split()}
+        assert ys == {float(svgplot.HEIGHT - svgplot.MARGIN_B)}
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "0" in labels and "1" in labels

@@ -234,6 +234,10 @@ class TestMallowsWeight:
         with pytest.raises(ValueError):
             RobustConfig(tau=1, b=1, shrinkage=np.diag([1.0, -0.5]))
 
+    def test_unknown_weight_form_names_it(self):
+        with pytest.raises(ValueError, match="^unknown weight_form 'cubic'$"):
+            RobustConfig(tau=1, b=3, weight_form="cubic")
+
 
 class TestRobustObjective:
     def test_zero_residuals(self):

@@ -79,6 +79,18 @@ class TestPenaltyValue:
         with pytest.raises(ValueError, match="^group index must be a nonnegative integer, got 1.5$"):
             Penalty("group", groups=(iter(g) for g in ((0, 1.5),)))
 
+    def test_unknown_kind_names_it(self):
+        with pytest.raises(ValueError, match="^unknown penalty kind 'l2'$"):
+            Penalty("l2")
+
+    def test_an_empty_group_is_rejected(self):
+        with pytest.raises(ValueError, match="^groups must be nonempty$"):
+            Penalty("group", groups=((0, 1), ()))
+
+    def test_l1_covers_every_coordinate_count(self):
+        for q in (1, 7):
+            assert L1.check_coverage(q) is None
+
 
 class TestDualValue:
     def test_l1_dual_is_linf(self):

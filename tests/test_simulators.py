@@ -71,6 +71,11 @@ class TestNoise:
             ScaleMixtureNoise(((0.7, 1.0), (0.4, 2.0)))
 
 
+    def test_unknown_spec_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown noise spec dict$"):
+            sample_noise({"df": 3.0}, (4,), np.random.default_rng(0))
+
+
 class TestGenErTransition:
     def test_radius_and_density(self):
         b = gen_er_transition(10, 0.05, 0.5, seed=1)
@@ -172,6 +177,39 @@ class TestStabilityGates:
             UnivariateArchDgp(b=[1e200], d0=1.0, d=[0.1])
         assert str(exc.value) == "companion spectral radius 1e+200 >= 1"
         assert len(str(exc.value)) < 100
+
+
+class TestConstructorChecks:
+    def test_arch_var_needs_both_f_and_f_mats(self):
+        b = np.eye(2) * 0.5
+        with pytest.raises(ValueError, match="^the parametric form requires both f and f_mats$"):
+            ArchVarDgp(b=b, f=(1.0, 1.0))
+        with pytest.raises(ValueError, match="^the parametric form requires both f and f_mats$"):
+            ArchVarDgp(b=b, f_mats=(np.eye(2) * 0.1,) * 2)
+
+    def test_arch_var_scale_matrices_must_be_psd(self):
+        indefinite = np.array([[0.1, 0.0], [0.0, -0.1]])
+        with pytest.raises(ValueError, match="^scale matrices must be positive semidefinite$"):
+            ArchVarDgp(b=np.eye(2) * 0.5, f=(1.0, 1.0), f_mats=(np.eye(2) * 0.1, indefinite))
+
+    def test_bekk_c_must_be_positive_definite(self):
+        with pytest.raises(ValueError, match="^c must be positive definite$"):
+            BekkVarDgp(b=np.eye(2) * 0.5, c=np.diag([1.0, 0.0]), f=np.eye(2) * 0.1)
+
+
+def family_specs():
+    """One process of every family, with its dimension p."""
+    b = np.array([[0.4, 0.1], [-0.2, 0.3]])
+    return {
+        "var_t_lag3": (VarTDgp(VarModel((b * 0.5, b * 0.3, b * 0.1)), StudentTNoise(3.0)), 2),
+        "arch_var": (ArchVarDgp(b=b, f=(1.0, 0.5), f_mats=(np.diag([0.2, 0.0]), np.diag([0.0, 0.3]))), 2),
+        "arch_var_sigma_fn": (ArchVarDgp(b=b, sigma_fn=lambda z: 1.0 + 0.1 * np.abs(z)), 2),
+        "univariate_arch": (UnivariateArchDgp(b=(0.3, 0.2, 0.1), d0=1.0, d=(0.2, 0.1, 0.1)), 1),
+        "bekk_scalar_c": (BekkVarDgp(b=b, c=np.eye(2) * 0.5, f=np.eye(2) * 0.4), 2),
+        "bekk_general_c": (BekkVarDgp(b=b, c=np.diag([0.4, 0.7]), f=np.eye(2) * 0.4), 2),
+        "threshold_var": (ThresholdVarDgp(models=(b, b.T)), 2),
+        "rc_var": (RcVarDgp(b=b, gamma_sd=0.05), 2),
+    }
 
 
 class TestSimulate:
@@ -379,6 +417,32 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(spec, 5, -1, seed=0)
 
+    def test_unknown_spec_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^unknown process spec dict$"):
+            simulate({"kind": "var_t"}, 5, 0, seed=0)
+
+    @pytest.mark.parametrize("family", sorted(family_specs()))
+    def test_every_family_path_owns_its_rows(self, family):
+        spec, p = family_specs()[family]
+        path = simulate(spec, 30, 20, seed=4)
+        assert path.shape == (30, p)
+        assert path.base is None and path.flags.owndata and path.flags.c_contiguous
+
+    @pytest.mark.parametrize("lags", [1, 3])
+    def test_univariate_arch_replays_its_recursion(self, lags):
+        # the whole companion state steps, and the path is its first entry
+        spec = UnivariateArchDgp(b=(0.3, 0.2, 0.1)[:lags], d0=1.0, d=(0.3, 0.1, 0.1)[:lags],
+                                 noise=StudentTNoise(2.5))
+        eta = sample_noise(spec.noise, (70, 1), np.random.default_rng(9))
+        m, d_vec = spec.companion(), np.asarray(spec.d)
+        state, rows = np.zeros(lags), []
+        for e in eta[:, 0]:
+            sig = np.sqrt(spec.d0 + d_vec @ (state * state))
+            state = m @ state
+            state[0] += sig * e
+            rows.append(state[:1])
+        np.testing.assert_array_equal(simulate(spec, 40, 30, seed=9), np.array(rows)[30:])
+
 
 def reference_path(spec, n, burn_in, seed):
     """The one-path VAR recursion written out: noise drawn in one block, then
@@ -453,6 +517,18 @@ class TestSimulatePaths:
             simulate_paths([RcVarDgp(np.zeros((2, 2)), 0.1)], 5, 0, [1])
         with pytest.raises(ValueError, match="n must be at least 1"):
             simulate_paths([one], 0, 0, [1])
+
+    @pytest.mark.parametrize("p, d", [(2, 1), (3, 2), (2, 3)])
+    def test_every_path_owns_its_rows(self, p, d):
+        specs = [VarTDgp(model, StudentTNoise(3.0)) for model in var_models(p, d, 4)]
+        seeds = [21, 22, 23, 24]
+        paths = simulate_paths(specs, 15, 30, seeds)
+        for spec, seed, path in zip(specs, seeds, paths):
+            assert path.base is None and path.flags.owndata and path.flags.c_contiguous
+            np.testing.assert_array_equal(path, reference_path(spec, 15, 30, seed))
+        for i, a in enumerate(paths):
+            for b in paths[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 def reference_arch_path(spec, n, burn_in, seed):
@@ -711,4 +787,10 @@ class TestSeriesCsv:
         path = tmp_path / "s.csv"
         path.write_text("t,z1,z2\nfirst,1.0,x\n")
         with pytest.raises(ValueError, match="^line 2, column z2: 'x' is not a number$"):
+            read_series_csv(path)
+
+    def test_first_header_cell_must_be_t(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("time,z1\n0,1.0\n")
+        with pytest.raises(ValueError, match="^not a series CSV: first column must be t$"):
             read_series_csv(path)

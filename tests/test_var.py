@@ -336,6 +336,10 @@ class TestFitVar:
         with pytest.raises(ValueError, match=r"^lam must be 0 in theory mode, got"):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lam=lam)
 
+    def test_unknown_lambda_mode_names_it(self):
+        with pytest.raises(ValueError, match="^unknown lambda_mode 'oracle'$"):
+            FitConfig(robust=RobustConfig(tau=1.0, b=3.0), lambda_mode="oracle")
+
     def test_theory_c_must_give_a_finite_lambda(self):
         with pytest.raises(ValueError, match=r"^c must be real, finite and in \(0, inf\), got inf$"):
             FitConfig(robust=RobustConfig(tau=1.0, b=3.0), c=math.inf)
@@ -368,6 +372,30 @@ class TestEstimationError:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             estimation_error(VarModel((np.eye(2),)), VarModel((np.eye(3),)))
+
+    @staticmethod
+    def lag_pair(p, d, seed):
+        """Two lag-d models of dimension p whose columns differ in every lag."""
+        rng = np.random.default_rng(seed)
+        return tuple(VarModel(tuple(0.3 * rng.standard_normal((d, p, p)))) for _ in range(2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_several_lags_take_the_largest_stacked_column_norm(self, d):
+        b_hat, b_true = self.lag_pair(4, d, 20 + d)
+        diff = b_hat.stacked() - b_true.stacked()
+        expected = max(math.sqrt(math.fsum(diff[:, j] ** 2)) for j in range(diff.shape[1]))
+        assert estimation_error(b_hat, b_true) == pytest.approx(expected, rel=1e-15)
+
+    def test_equal_second_lags_give_the_first_lags_error(self):
+        (a1, a2), (c1, _) = (m.coeffs for m in self.lag_pair(5, 2, 30))
+        first = estimation_error(VarModel((a1,)), VarModel((c1,)))
+        assert estimation_error(VarModel((a1, a2)), VarModel((c1, a2))) == first
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_several_lags_are_the_stacked_norm_bit_for_bit(self, d):
+        b_hat, b_true = self.lag_pair(6, d, 40 + d)
+        stacked = np.linalg.norm(b_hat.stacked() - b_true.stacked(), axis=0).max()
+        assert estimation_error(b_hat, b_true) == stacked
 
 
 class TestModelCsv:
