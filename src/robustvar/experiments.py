@@ -14,6 +14,7 @@ generator instead of fitting; both check its settings once, up front.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -22,7 +23,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,8 +295,11 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     The (cell, replication) tasks of each n are cut into stacks (see
     ``_stacks``), each drawn and fitted in one go; the workers run the stacks,
     each worker a share of every n, and no more workers start than there are
-    stacks.  Output is identical for any worker count: tasks are seeded
-    independently and their rows put back in grid order.
+    stacks.  One worker runs them in this process; more run them in a
+    ``concurrent.futures.ProcessPoolExecutor``, looked up when it starts, so
+    only such a run loads the pool's module and ``multiprocessing``.  Output
+    is identical for any worker count: tasks are seeded independently and
+    their rows put back in grid order.
     """
     name = "workers"
     if workers is None:
@@ -314,7 +317,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> list[dic
     if (processes := min(workers, len(stacks))) == 1:
         done = list(map(run, stacks))
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(run, stacks))
     rows = {task: task_rows for stack, stack_rows in zip(stacks, done)
             for task, task_rows in zip(stack, stack_rows)}

@@ -132,6 +132,12 @@ def robust_gradient(reg: Regression, beta: np.ndarray, cfg: RobustConfig) -> np.
 
     Equals -(1/n) * sum_i huber'(w_i r_i) * w_i^2 * x_i, the one-column case
     of :func:`robust_gradient_columns`, which the solver also uses.
+
+    Each call checks ``x`` again and recomputes the Mallows weights and the
+    weighted design, none of which depends on ``beta`` or ``y``.  For many
+    columns of one design, compute the weights once with
+    :func:`mallows_weights` and pass them, with all the columns, to one
+    :func:`robust_gradient_columns` call.
     """
     beta = _check_shape("beta", beta, (reg.q,))  # finite: the kernel clips an inf residual
     w = mallows_weights(reg.x, cfg)

@@ -1,9 +1,12 @@
-"""Dependency-free SVG line charts for experiment result tables."""
+"""Dependency-free SVG line charts for experiment result tables.
+
+The document is written as text; field names and series labels are escaped
+by ``_escape``, so no XML library is imported.
+"""
 
 from __future__ import annotations
 
 import warnings
-from xml.sax.saxutils import escape
 
 from .experiments import aggregate
 
@@ -12,6 +15,12 @@ __all__ = ["emit_svg_lines"]
 WIDTH, HEIGHT = 640, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 150, 30, 50
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` replaced by entities, ``&`` first:
+    the same string as ``xml.sax.saxutils.escape(text)``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -92,7 +101,7 @@ def emit_svg_lines(rows: list[dict], x_axis: str, series: str, path) -> None:
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.2f}" y="{HEIGHT - 10}" font-size="12" '
-        f'text-anchor="middle">{escape(x_axis)}</text>'
+        f'text-anchor="middle">{_escape(x_axis)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.2f}" font-size="12" '
@@ -128,7 +137,7 @@ def emit_svg_lines(rows: list[dict], x_axis: str, series: str, path) -> None:
         label = f"{sval:g}" if isinstance(sval, float) else str(sval)
         parts.append(
             f'<text x="{WIDTH - MARGIN_R + 40}" y="{ly}" font-size="11">'
-            f'{escape(series)}={escape(label)}</text>'
+            f'{_escape(series)}={_escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

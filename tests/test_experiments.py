@@ -1,12 +1,14 @@
 """Tests for the experiment harness, CSV schema, and SVG rendering."""
 
 import collections
+import concurrent.futures
 import dataclasses
 import importlib
 import json
 import logging
 import math
 import xml.etree.ElementTree as ET
+import xml.sax.saxutils
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -212,7 +214,8 @@ class TestRunExperiment:
         monkeypatch.setattr(ExperimentSpec, "fit_config",
                             lambda self, tau: taus.append(tau) or fit_config(self, tau))
         monkeypatch.setattr(exps, "VarModel", lambda coeffs: models.append(1) or VarModel(coeffs))
-        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)  # the spies see it
+        # threads, so the spies see the workers' calls
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         # one stack of 6 per n at 1 worker; two of 3 per n at 2
         for workers, stacks in ((1, 2), (2, 4)):
             taus.clear(), models.clear()
@@ -283,7 +286,7 @@ class TestRunExperiment:
         # each n's 6 tasks are cut into one stack per worker, so each worker draws both n
         spec = tiny_spec(n_grid=(20, 35), df_grid=(2.5, 4.0), replications=3)
         expected = run_experiment(spec)
-        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         calls = record_stacks(monkeypatch)
         assert run_experiment(spec, workers=2) == expected
         assert sorted(calls) == [(3, 20), (3, 20), (3, 35), (3, 35)]
@@ -292,7 +295,7 @@ class TestRunExperiment:
         # n=20 labels two cells per df: 12 tasks, and 6 of n=35
         spec = tiny_spec(p=5, n_grid=(20, 20, 35), df_grid=(2.5, 4.0), replications=3)
         expected = run_experiment(spec)
-        monkeypatch.setattr(exps, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         calls = record_stacks(monkeypatch)
         for workers in (1, 2, 3):
             calls.clear()
@@ -326,7 +329,7 @@ class TestRunExperiment:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(exps, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
         expected = run_experiment(spec, workers=1)
         monkeypatch.setenv("ROBUSTVAR_WORKERS", " 2 ")
@@ -342,7 +345,7 @@ class TestRunExperiment:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(exps, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         spec = tiny_spec(df_grid=(2.5, 4.0), replications=2)
         assert run_experiment(spec, workers=workers) == run_experiment(spec)
         assert sizes == [started]
@@ -527,6 +530,28 @@ class TestSvg:
         root = ET.parse(path).getroot()
         assert not root.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert root.findall(".//{http://www.w3.org/2000/svg}circle")
+
+    def test_text_is_escaped(self, tmp_path, monkeypatch):
+        # a field name and string series values holding every character the chart escapes
+        x_axis, series = "n & <m>", "a<b>&c"
+        rows = [{x_axis: n, series: s, "error": e}
+                for s, e in (("x&y", 1.0), ("<z>", 2.0), ("&amp;", 3.0)) for n in (30, 60)]
+        path = tmp_path / "escaped.svg"
+        emit_svg_lines(rows, x_axis, series, path)
+        root = ET.parse(path).getroot()
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert x_axis in labels
+        assert labels[-3:] == ["a<b>&c=&amp;", "a<b>&c=<z>", "a<b>&c=x&y"]
+        # the same bytes as the standard library's escape writes
+        monkeypatch.setattr(svgplot, "_escape", xml.sax.saxutils.escape)
+        emit_svg_lines(rows, x_axis, series, tmp_path / "saxutils.svg")
+        assert path.read_bytes() == (tmp_path / "saxutils.svg").read_bytes()
+
+    def test_escape_matches_the_standard_library(self):
+        texts = ["", "plain", "a & b", "<tag>", "a>b<c", "&amp; &lt;&gt; &#38;", "&&<<>>",
+                 "]]>", 'say "hi" and \'bye\'', "τ ≥ 1, naïve ü", "tab\tnew\nline"]
+        for text in texts:
+            assert svgplot._escape(text) == xml.sax.saxutils.escape(text)
 
     def test_missing_field_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -86,6 +86,34 @@ class TestProximalGradientFit:
             assert res.converged
             assert f_pg <= f_cd + 1e-6
 
+    def test_overlong_fixed_steps_reach_the_minimiser(self):
+        # the instances of test_matches_coordinate_descent and acceptance test 04 on
+        # which their fixed step 0.9 exceeds 2/L, so descent is not guaranteed: each
+        # estimate must still satisfy the l1 KKT conditions.  The residual is the
+        # Euclidean distance of -grad to lam * subdiff ||beta||_1, over lam; the
+        # largest of the eight reads 1.0e-8.
+        pen, lam, cfg = Penalty("l1"), 0.1, RobustConfig(tau=1.0, b=3.0)
+        over, zeros = [], 0
+        for seed, count in ((2, 5), (3, 20)):
+            rng = np.random.default_rng(seed)
+            for k in range(count):
+                x = rng.standard_normal((50, 3)) * 1.5
+                y = x @ rng.standard_normal(3) + rng.standard_normal(50)
+                if 0.9 * lipschitz(x, cfg) <= 2.0:
+                    continue
+                over.append((seed, k))
+                reg = Regression(y, x)
+                opt = OptimizerConfig(step=0.9, tol=1e-9, max_iter=50000)
+                res = proximal_gradient_fit_columns(reg.x, reg.y[:, None], cfg, pen, lam, opt)[0]
+                beta, g = res.beta_hat, robust_gradient(reg, res.beta_hat, cfg)
+                dist = np.where(beta != 0, np.abs(g + lam * np.sign(beta)),
+                                np.maximum(np.abs(g) - lam, 0.0))
+                zeros += int(np.count_nonzero(beta == 0))
+                assert res.converged
+                assert np.linalg.norm(dist) / lam < 1e-7
+        assert over == [(2, 1), (3, 4), (3, 5), (3, 9), (3, 12), (3, 13), (3, 15), (3, 16)]
+        assert zeros == 2  # both branches of the subdifferential are checked
+
     def test_acceleration_cuts_iterations(self):
         # a count, not a timing: on this batch the default step takes 146
         # column-iterations and plain steps of just over 1/L take 241 (0.61x)
